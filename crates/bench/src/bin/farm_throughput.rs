@@ -27,7 +27,8 @@
 //! a single worker, so the metric tracks the engine rather than host
 //! core count or scheduler luck, mirroring `sim_throughput`'s method.
 //!
-//! `--quick` shrinks the fleet and trial count — the CI smoke mode.
+//! `--quick` shrinks the fleet and trial count — the CI smoke mode — and
+//! never writes `BENCH_simperf.json`: its small fleet is not a baseline.
 //! `--check-baseline` compares against the committed baseline and exits
 //! nonzero on regression, leaving the file untouched.
 
@@ -262,6 +263,10 @@ fn main() {
         return;
     }
 
+    if quick {
+        println!("--quick: BENCH_simperf.json left unchanged");
+        return;
+    }
     let entries = [
         ("farm_devices_per_core", format!("{best_dps:.2}")),
         ("farm_messages_per_s", format!("{best_mps:.1}")),

@@ -31,7 +31,8 @@
 //! sees.
 //!
 //! `--quick` shrinks the cycle budget and skips the `all_results` timing
-//! (writing 0.0 for it) — the CI smoke mode.
+//! — the CI smoke mode. A quick run never writes `BENCH_simperf.json`:
+//! its short budgets are not baselines.
 //!
 //! `--check-baseline` compares the measured numbers against the
 //! *committed* `BENCH_simperf.json` and exits nonzero on regression; in
@@ -398,6 +399,10 @@ fn main() {
         return;
     }
 
+    if quick {
+        println!("--quick: BENCH_simperf.json left unchanged");
+        return;
+    }
     let by_key = |name: &str, mode: DispatchMode| {
         measured
             .iter()

@@ -650,18 +650,67 @@ impl Sram {
             return 0;
         }
         let g0 = self.granule(addr);
-        let total = self.granules();
-        let limit = (g0 + max_granules as usize).min(total);
+        let limit = (g0 + max_granules as usize).min(self.granules());
+        (self.scan_tagged(g0, limit).unwrap_or(limit) - g0) as u32
+    }
+
+    /// Address of the first tagged granule among the `max_granules`
+    /// granules starting at the one containing `addr`, with the window
+    /// clipped to the bank. Scans packed tag words like
+    /// [`Sram::untagged_run`]. `None` if `addr` is outside the bank or no
+    /// granule in the window is tagged.
+    pub fn next_tagged(&self, addr: u32, max_granules: u32) -> Option<u32> {
+        if !self.contains(addr, 1) {
+            return None;
+        }
+        let g0 = self.granule(addr);
+        let limit = (g0 + max_granules as usize).min(self.granules());
+        self.scan_tagged(g0, limit).map(|g| self.granule_addr(g))
+    }
+
+    /// Address of the last tagged granule among the `max_granules`
+    /// granules ending at (and including) the one containing `addr`, with
+    /// the window clipped to the bank: the backward twin of
+    /// [`Sram::next_tagged`]. `None` if `addr` is outside the bank or no
+    /// granule in the window is tagged.
+    pub fn prev_tagged(&self, addr: u32, max_granules: u32) -> Option<u32> {
+        if max_granules == 0 || !self.contains(addr, 1) {
+            return None;
+        }
+        let g1 = self.granule(addr);
+        let lo = (g1 + 1).saturating_sub(max_granules as usize);
+        let mut w = g1 >> 6;
+        let mut masked = self.tag_word(w) & (!0u64 >> (63 - (g1 & 63)));
+        loop {
+            if masked != 0 {
+                let hit = (w << 6) + 63 - masked.leading_zeros() as usize;
+                return (hit >= lo).then(|| self.granule_addr(hit));
+            }
+            if w << 6 <= lo {
+                return None;
+            }
+            w -= 1;
+            masked = self.tag_word(w);
+        }
+    }
+
+    /// First tagged granule index in `[g0, limit)`: the bank's one forward
+    /// tag scan. An all-clear 64-granule word costs one load.
+    fn scan_tagged(&self, g0: usize, limit: usize) -> Option<usize> {
         let mut g = g0;
         while g < limit {
             let masked = self.tag_word(g >> 6) & (!0u64 << (g & 63));
             if masked != 0 {
-                let next_tagged = (g & !63) + masked.trailing_zeros() as usize;
-                return (next_tagged.min(limit) - g0) as u32;
+                let hit = (g & !63) + masked.trailing_zeros() as usize;
+                return (hit < limit).then_some(hit);
             }
             g = (g & !63) + 64;
         }
-        (limit - g0) as u32
+        None
+    }
+
+    fn granule_addr(&self, g: usize) -> u32 {
+        self.base + g as u32 * GRANULE
     }
 
     /// Number of pages in the bank.
@@ -952,6 +1001,99 @@ mod tests {
         // Unaligned or out-of-bank addresses yield no run.
         assert_eq!(m.untagged_run(0x2000_0004, 512), 0);
         assert_eq!(m.untagged_run(0x3000_0000, 512), 0);
+    }
+
+    #[test]
+    fn tag_search_window_edges() {
+        let mut m = sram();
+        let base = 0x2000_0000;
+        let t = base + 70 * 8;
+        m.write_cap_word(t, 1, true).unwrap();
+        // A window of 0 sees nothing, even on a tagged granule.
+        assert_eq!(m.next_tagged(t, 0), None);
+        assert_eq!(m.prev_tagged(t, 0), None);
+        assert_eq!(m.next_tagged(t, 1), Some(t));
+        assert_eq!(m.prev_tagged(t, 1), Some(t));
+        // An unaligned address searches from the granule containing it.
+        assert_eq!(m.next_tagged(t + 4, 1), Some(t));
+        assert_eq!(m.prev_tagged(t + 7, 1), Some(t));
+        assert_eq!(m.next_tagged(t + 8 + 3, 512), None);
+        // Outside the bank there is nothing to find.
+        assert_eq!(m.next_tagged(base - 8, 512), None);
+        assert_eq!(m.prev_tagged(base + 0x1000, 512), None);
+        assert_eq!(m.next_tagged(0x3000_0000, 512), None);
+        // Windows ending mid-word stop exactly at their last granule.
+        assert_eq!(m.next_tagged(base, 70), None);
+        assert_eq!(m.next_tagged(base, 71), Some(t));
+        assert_eq!(m.prev_tagged(base + 100 * 8, 30), None);
+        assert_eq!(m.prev_tagged(base + 100 * 8, 31), Some(t));
+        // Windows running past either end of the bank are clipped.
+        assert_eq!(m.next_tagged(base + 8, u32::MAX), Some(t));
+        assert_eq!(m.prev_tagged(base + 511 * 8, u32::MAX), Some(t));
+        // The first and last granule of the bank are both reachable.
+        m.write_cap_word(base, 1, true).unwrap();
+        m.write_cap_word(base + 511 * 8, 1, true).unwrap();
+        assert_eq!(m.prev_tagged(base + 69 * 8, u32::MAX), Some(base));
+        assert_eq!(m.next_tagged(t + 8, u32::MAX), Some(base + 511 * 8));
+    }
+
+    #[test]
+    fn tag_search_partial_last_page() {
+        // 1.5 pages: the last page's tag words extend past the bank.
+        let base = 0x2000_0000;
+        let mut m = Sram::new(base, PAGE_SIZE + PAGE_SIZE / 2);
+        let last = base + PAGE_SIZE + PAGE_SIZE / 2 - GRANULE;
+        assert_eq!(m.next_tagged(base, u32::MAX), None);
+        m.write_cap_word(last, 1, true).unwrap();
+        assert_eq!(m.next_tagged(base, u32::MAX), Some(last));
+        assert_eq!(m.next_tagged(last, u32::MAX), Some(last));
+        assert_eq!(m.next_tagged(last + GRANULE, u32::MAX), None);
+        assert_eq!(m.prev_tagged(last, 1), Some(last));
+        assert_eq!(m.prev_tagged(last + GRANULE, u32::MAX), None);
+        assert_eq!(
+            m.untagged_run(base, u32::MAX),
+            PAGE_GRANULES as u32 * 3 / 2 - 1
+        );
+    }
+
+    #[test]
+    fn tag_search_spans_pages() {
+        let base = 0x2000_0000;
+        let mut m = Sram::new(base, 4 * PAGE_SIZE);
+        let lo = base + 5 * GRANULE;
+        let hi = base + 3 * PAGE_SIZE + 200 * GRANULE;
+        m.write_cap_word(lo, 1, true).unwrap();
+        m.write_cap_word(hi, 1, true).unwrap();
+        assert_eq!(m.next_tagged(lo + GRANULE, u32::MAX), Some(hi));
+        assert_eq!(m.prev_tagged(hi - GRANULE, u32::MAX), Some(lo));
+        let gap = (hi - lo) / GRANULE;
+        assert_eq!(m.next_tagged(lo + GRANULE, gap - 1), None);
+        assert_eq!(m.next_tagged(lo + GRANULE, gap), Some(hi));
+        assert_eq!(m.prev_tagged(hi - GRANULE, gap - 1), None);
+        assert_eq!(m.prev_tagged(hi - GRANULE, gap), Some(lo));
+    }
+
+    #[test]
+    fn tag_search_matches_granule_walk() {
+        // Exhaustive over start granule and a spread of windows, against a
+        // walk of `tag_at` over a bank with a partial last page.
+        let base = 0x2000_0000;
+        let mut m = Sram::new(base, PAGE_SIZE + 40 * GRANULE);
+        let n = m.size() / GRANULE;
+        for g in [0, 1, 63, 64, 65, 127, 300, 511, 512, 530, n - 1] {
+            m.write_cap_word(base + g * GRANULE, 1, true).unwrap();
+        }
+        let at = |g: u32| base + g * GRANULE;
+        for g in 0..n {
+            for w in [0, 1, 2, 63, 64, 65, 200, 600, u32::MAX] {
+                let fwd = (g..n.min(g.saturating_add(w))).find(|&k| m.tag_at(at(k)));
+                assert_eq!(m.next_tagged(at(g), w), fwd.map(at), "next g={g} w={w}");
+                let bwd = ((g + 1).saturating_sub(w)..=g)
+                    .rev()
+                    .find(|&k| m.tag_at(at(k)));
+                assert_eq!(m.prev_tagged(at(g), w), bwd.map(at), "prev g={g} w={w}");
+            }
+        }
     }
 
     #[test]

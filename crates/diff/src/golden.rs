@@ -131,9 +131,9 @@ impl GoldenMem {
         &self.bytes
     }
 
-    /// Tag of granule `g` (by index), for exit-state comparison.
-    pub fn tag_at_index(&self, g: usize) -> bool {
-        self.tags[g]
+    /// One tag per granule, for exit-state comparison.
+    pub fn tags(&self) -> &[bool] {
+        &self.tags
     }
 }
 

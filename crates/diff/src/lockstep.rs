@@ -280,14 +280,29 @@ pub fn compare(g: &Golden, m: &Machine, with_memory: bool) -> Vec<Mismatch> {
                 break;
             }
         }
-        for gix in 0..(gb.len() / 8) {
-            let addr = base + (gix * 8) as u32;
-            let gt = g.mem.tag_at_index(gix);
-            let et = m.sram.tag_at(addr);
-            if gt != et {
-                diff(&format!("tag[{addr:#x}]"), gt.to_string(), et.to_string());
-                break;
-            }
+        // Merge the two models' tagged granules in address order: the
+        // first granule tagged on only one side is the lowest mismatch.
+        let gt = g.mem.tags();
+        let mut gix = 0;
+        loop {
+            let golden = gt[gix..].iter().position(|&t| t).map(|k| gix + k);
+            let engine = m
+                .sram
+                .next_tagged(base + gix as u32 * 8, (gt.len() - gix) as u32)
+                .map(|a| (a - base) as usize / 8);
+            let first = match (golden, engine) {
+                (None, None) => break,
+                (Some(x), Some(y)) if x == y => {
+                    gix = x + 1;
+                    continue;
+                }
+                (Some(x), Some(y)) => x.min(y),
+                (Some(x), None) | (None, Some(x)) => x,
+            };
+            let addr = base + first as u32 * 8;
+            let (gv, ev) = (golden == Some(first), engine == Some(first));
+            diff(&format!("tag[{addr:#x}]"), gv.to_string(), ev.to_string());
+            break;
         }
     }
     out

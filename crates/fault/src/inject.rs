@@ -306,7 +306,86 @@ impl Injector {
     /// search window). Clearing — never forging — keeps the fault inside
     /// what tag-SRAM upsets do to real parts: a flipped set bit. If no
     /// granule in the window holds a capability the fault dissipates.
+    ///
+    /// The window is `TAG_SEARCH_GRANULES` granules either side of `addr`,
+    /// clipped to the bank; at equal distance the forward hit wins.
     fn clear_nearest_tag(m: &mut Machine, addr: u32) -> InjectEffect {
+        let addr = addr & !(GRANULE - 1);
+        let window = TAG_SEARCH_GRANULES + 1;
+        // Start each scan at the bank edge when `addr` lies beyond it,
+        // shrinking the window by the granules skipped.
+        let start = addr.max(m.sram.base());
+        let fwd = m
+            .sram
+            .next_tagged(start, window.saturating_sub((start - addr) / GRANULE));
+        let last = m
+            .sram
+            .end()
+            .saturating_sub(u64::from(GRANULE))
+            .min(u64::from(addr)) as u32;
+        let bwd = m
+            .sram
+            .prev_tagged(last, window.saturating_sub((addr - last) / GRANULE));
+        let target = match (fwd, bwd) {
+            (Some(f), Some(b)) if addr - b < f - addr => b,
+            (Some(f), _) => f,
+            (None, Some(b)) => b,
+            (None, None) => return InjectEffect::Skipped,
+        };
+        match m.sram.read_cap_word(target) {
+            Ok((word, _)) if m.sram.write_cap_word(target, word, false).is_ok() => {
+                InjectEffect::TagCleared(target)
+            }
+            _ => InjectEffect::Skipped,
+        }
+    }
+
+    /// XORs `bit` of the capability word held by the first tagged granule
+    /// at or after `addr` (tag preserved), so the corruption targets a
+    /// live capability rather than inert data.
+    fn flip_cap_bit(m: &mut Machine, addr: u32, bit: u32) -> InjectEffect {
+        let Some(a) = m.sram.next_tagged(addr & !(GRANULE - 1), CAP_SCAN_GRANULES) else {
+            return InjectEffect::Skipped;
+        };
+        match m.sram.read_cap_word(a) {
+            Ok((word, _)) if m.sram.write_cap_word(a, word ^ (1 << bit), true).is_ok() => {
+                InjectEffect::CapBitFlipped { addr: a, bit }
+            }
+            _ => InjectEffect::Skipped,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{CapField, FaultEntry};
+    use cheriot_cap::Capability;
+    use cheriot_core::layout::SRAM_BASE;
+    use cheriot_core::{CoreModel, MachineConfig};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn machine() -> Machine {
+        Machine::new(MachineConfig::new(CoreModel::ibex()))
+    }
+
+    fn plan_of(entries: Vec<FaultEntry>) -> FaultPlan {
+        FaultPlan { seed: 0, entries }
+    }
+
+    fn store_cap(m: &mut Machine, addr: u32) -> Capability {
+        let cap = Capability::root_mem_rw()
+            .with_address(addr + 64)
+            .set_bounds(32)
+            .unwrap();
+        m.sram.write_cap(addr, cap).unwrap();
+        cap
+    }
+
+    /// Reference for [`Injector::clear_nearest_tag`]: the per-granule walk
+    /// it replaced, stepping outward one granule at a time, forward first.
+    fn clear_nearest_tag_walk(m: &mut Machine, addr: u32) -> InjectEffect {
         let addr = addr & !(GRANULE - 1);
         for step in 0..=TAG_SEARCH_GRANULES {
             let offsets: [Option<u32>; 2] = [
@@ -327,12 +406,10 @@ impl Injector {
         InjectEffect::Skipped
     }
 
-    /// XORs `bit` of the capability word held by the first tagged granule
-    /// at or after `addr` (tag preserved), so the corruption targets a
-    /// live capability rather than inert data.
-    fn flip_cap_bit(m: &mut Machine, addr: u32, bit: u32) -> InjectEffect {
-        let addr = addr & !(GRANULE - 1);
-        let mut a = addr;
+    /// Reference for [`Injector::flip_cap_bit`]: the forward per-granule
+    /// walk it replaced.
+    fn flip_cap_bit_walk(m: &mut Machine, addr: u32, bit: u32) -> InjectEffect {
+        let mut a = addr & !(GRANULE - 1);
         for _ in 0..CAP_SCAN_GRANULES {
             if !m.sram.contains(a, GRANULE) {
                 break;
@@ -355,31 +432,134 @@ impl Injector {
         }
         InjectEffect::Skipped
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plan::{CapField, FaultEntry};
-    use cheriot_cap::Capability;
-    use cheriot_core::layout::SRAM_BASE;
-    use cheriot_core::{CoreModel, MachineConfig};
+    /// Oracle bank: four pages plus a partial fifth that ends mid tag
+    /// word, small enough for the reference walks to stay fast.
+    const ORACLE_SRAM: u32 = 4 * 4096 + 2048 + 64;
+    const ORACLE_GRANULES: u32 = ORACLE_SRAM / GRANULE;
 
-    fn machine() -> Machine {
-        Machine::new(MachineConfig::new(CoreModel::ibex()))
+    /// Turns a probe `(kind, r)` into a target address that lands on one
+    /// of the search's edge cases for the tag layout `tags` (granule
+    /// indices, sorted).
+    fn oracle_target(kind: u32, r: u32, tags: &[u32], tie: u32) -> u32 {
+        let (base, end) = (SRAM_BASE, SRAM_BASE + ORACLE_SRAM);
+        let reach = TAG_SEARCH_GRANULES * GRANULE;
+        let pick = |v: &[u32]| v.get(r as usize % v.len().max(1)).copied().unwrap_or(0);
+        match kind {
+            // Anywhere in the bank, unaligned targets included.
+            0 => base + r % ORACLE_SRAM,
+            // Below the base and past the end, up to beyond the window.
+            1 => base - r % (reach + 2 * 4096),
+            2 => end + r % (reach + 2 * 4096),
+            // Either side of a tag-word or page boundary.
+            3 => base + (r % (ORACLE_GRANULES / 64 + 1)) * 64 * GRANULE - (r >> 31) * GRANULE,
+            4 => base + (r % 6) * 4096 - (r >> 31) * GRANULE,
+            // Exactly at, or one granule past, the window's reach from a
+            // tag, on either side.
+            5 => base + pick(tags) * GRANULE - reach - (r >> 31) * GRANULE,
+            6 => base + pick(tags) * GRANULE + reach + (r >> 31) * GRANULE,
+            // Equidistant from the planted tie pair.
+            _ => base + tie * GRANULE,
+        }
     }
 
-    fn plan_of(entries: Vec<FaultEntry>) -> FaultPlan {
-        FaultPlan { seed: 0, entries }
+    fn oracle_machine(tags: &[u32]) -> Machine {
+        let mut cfg = MachineConfig::new(CoreModel::ibex());
+        cfg.sram_size = ORACLE_SRAM;
+        cfg.heap_offset = ORACLE_SRAM / 2;
+        cfg.heap_size = ORACLE_SRAM / 2;
+        let mut m = Machine::new(cfg);
+        for &g in tags {
+            let word = u64::from(g) << 8 | 0x5a;
+            m.sram
+                .write_cap_word(SRAM_BASE + g * GRANULE, word, true)
+                .unwrap();
+        }
+        m
     }
 
-    fn store_cap(m: &mut Machine, addr: u32) -> Capability {
-        let cap = Capability::root_mem_rw()
-            .with_address(addr + 64)
-            .set_bounds(32)
-            .unwrap();
-        m.sram.write_cap(addr, cap).unwrap();
-        cap
+    /// Applies both searches of the injector and of the reference walks at
+    /// `t`, each on its own machine, and returns the two pairs of effects.
+    fn probe_both(
+        fast: &mut Machine,
+        walk: &mut Machine,
+        t: u32,
+        bit: u32,
+    ) -> [(InjectEffect, InjectEffect); 2] {
+        [
+            (
+                Injector::clear_nearest_tag(fast, t),
+                clear_nearest_tag_walk(walk, t),
+            ),
+            (
+                Injector::flip_cap_bit(fast, t, bit),
+                flip_cap_bit_walk(walk, t, bit),
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn tag_search_matches_granule_walk(
+            tags in vec(0u32..ORACLE_GRANULES, 0..6),
+            extras in 0u32..8,
+            tie in (0u32..ORACLE_GRANULES, 1u32..80),
+            probes in vec((0u32..8, any::<u32>(), 0u32..64), 6..7),
+        ) {
+            let mut layout = tags.clone();
+            // Tags on the first and/or last granule of the bank.
+            if extras & 1 != 0 {
+                layout.push(0);
+            }
+            if extras & 2 != 0 {
+                layout.push(ORACLE_GRANULES - 1);
+            }
+            // A pair equidistant from granule `centre`, when both fit;
+            // probed first, before another probe can clear either.
+            let (centre, d) = tie;
+            if extras & 4 != 0 && centre >= d && centre + d < ORACLE_GRANULES {
+                layout.extend([centre - d, centre + d]);
+            }
+            layout.sort_unstable();
+            let (mut fast, mut walk) = (oracle_machine(&layout), oracle_machine(&layout));
+            for (kind, r, bit) in std::iter::once((7, 0, 0)).chain(probes) {
+                let t = oracle_target(kind, r, &layout, centre);
+                for (new, old) in probe_both(&mut fast, &mut walk, t, bit) {
+                    prop_assert_eq!(new, old, "target {:#x} (probe kind {})", t, kind);
+                }
+            }
+            prop_assert!(fast.sram.content_eq(&walk.sram));
+        }
+    }
+
+    #[test]
+    fn tag_search_on_empty_bank_matches_granule_walk() {
+        let (mut fast, mut walk) = (oracle_machine(&[]), oracle_machine(&[]));
+        for kind in 0..8 {
+            for r in [0, 8, 0x8000_0000, 0x8000_0001, u32::MAX] {
+                let t = oracle_target(kind, r, &[], 0);
+                for (new, old) in probe_both(&mut fast, &mut walk, t, 0) {
+                    assert_eq!(new, InjectEffect::Skipped, "target {t:#x}");
+                    assert_eq!(new, old);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tag_flip_tie_prefers_forward() {
+        let mut m = machine();
+        let mid = SRAM_BASE + 0x800;
+        store_cap(&mut m, mid - 0x40);
+        store_cap(&mut m, mid + 0x40);
+        let mut inj = Injector::new(plan_of(vec![FaultEntry {
+            cycle: 0,
+            kind: FaultKind::TagFlip { addr: mid + 3 },
+        }]));
+        inj.poll(&mut m);
+        assert_eq!(inj.log[0].effect, InjectEffect::TagCleared(mid + 0x40));
     }
 
     #[test]

@@ -204,26 +204,8 @@ impl InvariantChecker {
         heap_range: (u32, u32),
         out: &mut Vec<InvariantViolation>,
     ) {
-        let mut a = lo & !(GRANULE - 1);
-        while a < hi {
-            if !m.sram.contains(a, GRANULE) {
-                break;
-            }
-            let left = (hi - a) / GRANULE;
-            if left == 0 {
-                break;
-            }
-            let run = m.sram.untagged_run(a, left);
-            if run > 0 {
-                a = a.saturating_add(run.saturating_mul(GRANULE));
-                continue;
-            }
-            if !m.sram.tag_at(a) {
-                // untagged_run returned 0 without a tag: bank edge.
-                a = a.saturating_add(GRANULE);
-                continue;
-            }
-            // `a` is a tagged granule.
+        let mut from = lo & !(GRANULE - 1);
+        while let Some(a) = m.sram.next_tagged(from, hi.saturating_sub(from) / GRANULE) {
             if !strict && span_containing(live, a).is_none() {
                 out.push(InvariantViolation {
                     kind: InvariantKind::TagProvenance,
@@ -234,7 +216,7 @@ impl InvariantChecker {
             } else {
                 Self::check_cap_at(m, a, strict, live, quar, heap_range, out);
             }
-            a = a.saturating_add(GRANULE);
+            from = a.saturating_add(GRANULE);
         }
     }
 
