@@ -3,7 +3,7 @@
 use crate::parser::{parse_program, ParseError};
 use cheriot_core::encoding::DecodeError;
 use cheriot_core::insn::Reg;
-use cheriot_core::trace::Tracer;
+use cheriot_core::trace::{EventKind, Tracer};
 use cheriot_core::{CoreKind, CoreModel, ExitReason, Machine, MachineConfig, SimError};
 use std::fmt::Write as _;
 
@@ -65,8 +65,8 @@ pub struct RunOptions {
     /// (architecturally invisible; `--no-block-cache` forces the
     /// per-instruction stepwise loop).
     pub block_cache: bool,
-    /// Chain predecoded blocks directly: successor links, superblocks,
-    /// and sentry inline caches (architecturally invisible;
+    /// Chain predecoded blocks directly: successor links and sentry
+    /// inline caches (architecturally invisible;
     /// `--no-block-chain` returns to the dispatcher between blocks).
     pub block_chain: bool,
     /// Keep the last N retired instructions for the post-run trace.
@@ -193,7 +193,7 @@ fn run_instructions(
             true,
         ));
     } else if opts.trace_depth > 0 {
-        m.enable_trace(opts.trace_depth);
+        m.set_tracer(Tracer::instr_ring(opts.trace_depth));
     }
     let entry = m.try_load_program(prog)?;
     m.set_entry(entry);
@@ -220,15 +220,22 @@ fn run_instructions(
     }
     if opts.trace_depth > 0 {
         let _ = writeln!(report, "last retired instructions:");
-        let entries = m.trace_entries();
-        let skip = entries.len().saturating_sub(opts.trace_depth);
-        for e in &entries[skip..] {
+        let events = m.tracer().map(|t| t.events()).unwrap_or_default();
+        let retired: Vec<_> = events
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::InstrRetired { pc } => Some((ev.cycles, pc, m.code_at(pc)?)),
+                _ => None,
+            })
+            .collect();
+        let skip = retired.len().saturating_sub(opts.trace_depth);
+        for (cycles, pc, instr) in &retired[skip..] {
             let _ = writeln!(
                 report,
                 "  cycle {:>6}  pc {:#010x}  {}",
-                e.cycles,
-                e.pc,
-                cheriot_asm::disassemble(&e.instr)
+                cycles,
+                pc,
+                cheriot_asm::disassemble(instr)
             );
         }
     }

@@ -11,12 +11,11 @@
 //! run of [`PredecodedInsn`]s; subsequent visits dispatch straight down the
 //! block.
 //!
-//! Three dispatch accelerators layer on top (DESIGN.md §13), all per-slot
+//! Every block is one contiguous run `[start, end)` of code words, and
+//! the cached and chained dispatch modes build identical blocks. Two
+//! dispatch accelerators layer on top (DESIGN.md §13), both per-slot
 //! sidecar state invalidated wholesale by the generation counter:
 //!
-//! * **Superblocks**: decode chases unconditional forward jumps
-//!   (`jal x0, +off`) instead of ending the block, so straight-line-plus-
-//!   glue code predecodes as one block covering several [`Block::ranges`].
 //! * **Successor links**: each slot carries up to two weak links
 //!   `(generation, next_pc, PCC fingerprint) → successor slot` recorded by
 //!   the chained dispatch loop; a matching link lets the loop jump block to
@@ -57,29 +56,20 @@ use crate::pipeline::CoreModel;
 use cheriot_cap::Capability;
 use std::sync::Arc;
 
-/// Maximum instructions per cached block (superblocks included).
+/// Maximum instructions per cached block. Also bounds the invalidation
+/// scan window: a patch at `addr` can only be covered by blocks starting
+/// within `MAX_BLOCK_LEN - 1` slots before it.
 pub const MAX_BLOCK_LEN: usize = 64;
-
-/// Maximum distance, in code words, of any instruction a block may cover
-/// from the block's start slot. Linear decode is already bounded by
-/// [`MAX_BLOCK_LEN`]; superblock chasing can skip forward, and this bounds
-/// how far, which in turn bounds the invalidation scan window (a patch at
-/// `addr` can only be covered by blocks starting within `MAX_COVER_SPAN -
-/// 1` slots before it).
-pub const MAX_COVER_SPAN: usize = 256;
 
 /// One instruction with everything the dispatch loop needs precomputed.
 #[derive(Clone, Copy, Debug)]
 pub struct PredecodedInsn {
-    /// Address of this instruction. Consecutive within a segment;
-    /// discontinuous across a chased jump (superblocks).
+    /// Address of this instruction (`start + 4 * index` within its block).
     pub pc: u32,
     /// The decoded instruction.
     pub instr: Instr,
     /// Base cycle cost from the core model, with the load-filter CLC
     /// penalty already folded in (both are fixed at machine construction).
-    /// For a chased unconditional jump, the jump penalty is folded in too
-    /// (its cost is unconditional by definition).
     pub base_cycles: u64,
     /// Memory-unit beats (cycles unavailable to the background revoker).
     pub mem_beats: u64,
@@ -92,72 +82,30 @@ pub struct PredecodedInsn {
     pub check_hazard: bool,
 }
 
-/// One element of a block's *fast stream* — the representation the chained
-/// dispatch loop's unchecked inner loop executes (DESIGN.md §13). The
-/// stream mirrors a statically-fast prefix of [`Block::insns`], except
-/// chased unconditional jumps are folded into the instruction that follows
-/// them: the jump's retirement and (penalty-folded) cycles ride along on
-/// this element instead of paying their own dispatch. The fold is
-/// unobservable precisely where the stream is used: the unchecked loop
-/// only runs once the block's [`Block::worst_cycles`] bound has proven no
-/// budget or interrupt boundary can fire inside the block, and tracers
-/// (which want per-instruction events) disable it. On a dynamic bail-out
-/// nothing of the element has executed and the checked loop resumes at
-/// [`FastOp::resume`].
-#[derive(Clone, Copy, Debug)]
-pub struct FastOp {
-    /// The instruction to execute (never a chased jump).
-    pub d: PredecodedInsn,
-    /// Combined base cycles: the instruction's own plus any folded jumps'.
-    pub cycles: u64,
-    /// Instructions this element retires (1 + folded jumps).
-    pub retires: u32,
-    /// [`Block::insns`] index to resume checked execution at when this
-    /// element bails out (the first folded jump, or the instruction
-    /// itself) — everything before it has fully executed.
-    pub resume: u32,
-    /// Load-to-use hazard gate of the element's *first* covered
-    /// instruction (a folded jump consumes a pending hazard without
-    /// charging it, exactly like the checked loop would).
-    pub check_hazard: bool,
-    /// Source registers of the first covered instruction.
-    pub srcs: [Option<Reg>; 2],
-}
-
-/// A predecoded (super)block: instructions in execution order, ending at a
-/// control-flow/trap boundary, the end of loaded code, [`MAX_BLOCK_LEN`]
-/// or [`MAX_COVER_SPAN`]. Unconditional forward jumps may be interior
-/// (chased during decode), so the covered addresses form one or more
-/// disjoint, ascending [`Block::ranges`].
+/// A predecoded basic block: the instructions of the contiguous code run
+/// `[start, end)`, ending at a control-flow/trap boundary, the end of
+/// loaded code or [`MAX_BLOCK_LEN`].
 #[derive(Debug)]
 pub struct Block {
     /// Address of the first instruction.
     pub start: u32,
-    /// Address one past the last instruction (exclusive) — the end of the
-    /// final segment of [`Block::ranges`].
+    /// Address one past the last instruction (exclusive).
     pub end: u32,
-    /// The instructions, in execution order. Never empty.
+    /// The instructions, in address order. Never empty.
     pub insns: Box<[PredecodedInsn]>,
-    /// Covered address segments `[start, end)`, in execution order. A
-    /// straight block has exactly one. The PCC fetch verification must
-    /// cover every segment.
-    pub ranges: Box<[(u32, u32)]>,
     /// Upper bound on the cycles one full pass over the block can accrue
     /// on non-trapping paths: every instruction's `base_cycles`, the
     /// worst-case load-to-use stall wherever the hazard is checked, and
     /// the worst control-flow penalty of the final instruction. The
     /// chained dispatch loop uses it to prove, at block entry, that no
     /// cycle-budget or timer-interrupt boundary can fire *inside* the
-    /// block — and then runs the block's inline arms without the
+    /// block — and then runs the block's fast prefix without the
     /// per-instruction checks (DESIGN.md §13).
     pub worst_cycles: u64,
-    /// The fast stream: the longest statically-fast prefix of `insns`
-    /// re-expressed as [`FastOp`]s (chased jumps folded into their
-    /// successors). Empty when the block opens with an instruction the
-    /// inline arms cannot handle.
-    pub fast: Box<[FastOp]>,
-    /// `insns` index of the first instruction *not* covered by `fast` —
-    /// where checked execution resumes after the whole stream ran.
+    /// Length of the *fast prefix* `insns[..fast_end]`: the longest run
+    /// from the block start of instructions the inline arms can handle
+    /// (`statically_fast`). Zero when the block opens with an
+    /// instruction they cannot.
     pub fast_end: u32,
 }
 
@@ -173,10 +121,10 @@ impl Block {
         self.insns.is_empty()
     }
 
-    /// Does any covered segment contain `addr`?
+    /// Does the block cover `addr`?
     #[inline]
     pub fn covers(&self, addr: u32) -> bool {
-        self.ranges.iter().any(|&(s, e)| s <= addr && addr < e)
+        self.start <= addr && addr < self.end
     }
 }
 
@@ -400,10 +348,9 @@ impl BlockCache {
         }
     }
 
-    /// Drops every cached block covering `addr` through any of its ranges
-    /// (there can be several: slow-path entry mid-block builds overlapping
-    /// suffix blocks; superblocks cover disjoint segments). Returns the
-    /// number discarded. Always bumps the generation: the *code* changed
+    /// Drops every cached block covering `addr` (there can be several:
+    /// slow-path entry mid-block builds overlapping suffix blocks).
+    /// Returns the number discarded. Always bumps the generation: the *code* changed
     /// whether or not a block cached it — and the bump alone retires every
     /// successor link and inline cache.
     pub fn invalidate_covering(&mut self, addr: u32) -> u64 {
@@ -414,7 +361,7 @@ impl BlockCache {
         if self.slots.is_empty() {
             return 0;
         }
-        let lo = slot.saturating_sub(MAX_COVER_SPAN - 1);
+        let lo = slot.saturating_sub(MAX_BLOCK_LEN - 1);
         let hi = slot.min(self.slots.len() - 1);
         let mut removed = 0;
         for s in lo..=hi {
@@ -432,16 +379,13 @@ impl BlockCache {
     /// Called after code is appended at `old_end` (the previous exclusive
     /// end of the code region): drops blocks that ended exactly there, so a
     /// block truncated by the end of loaded code is rebuilt over the new
-    /// instructions. (Only a block's *final* segment can be truncated by
-    /// the code end — forward chasing never targets the last loaded word —
-    /// so checking `end` still suffices for superblocks.) Returns the
-    /// number discarded.
+    /// instructions. Returns the number discarded.
     pub fn on_append(&mut self, old_end: u32) -> u64 {
         self.stats.generation += 1;
         let Some(end_slot) = Self::slot_of(old_end) else {
             return 0;
         };
-        let lo = end_slot.saturating_sub(MAX_COVER_SPAN);
+        let lo = end_slot.saturating_sub(MAX_BLOCK_LEN);
         let mut removed = 0;
         for s in lo..end_slot.min(self.slots.len()) {
             if let Some(b) = &self.slots[s] {
@@ -473,29 +417,16 @@ impl BlockCache {
 }
 
 /// Decodes the block starting at code slot `start_idx`: forward until a
-/// control-flow/trap boundary, the end of `code`, [`MAX_BLOCK_LEN`] or
-/// [`MAX_COVER_SPAN`]. With `chase`, unconditional forward jumps
-/// (`jal x0`) to aligned in-range targets are interior: decode continues
-/// at the target (superblocks). `start_idx` must be within `code`.
-pub fn build_block(
-    code: &[Instr],
-    start_idx: usize,
-    core: &CoreModel,
-    load_filter: bool,
-    chase: bool,
-) -> Block {
+/// control-flow/trap boundary, the end of `code` or [`MAX_BLOCK_LEN`].
+/// `start_idx` must be within `code`.
+pub fn build_block(code: &[Instr], start_idx: usize, core: &CoreModel, load_filter: bool) -> Block {
     let start = layout::CODE_BASE + 4 * start_idx as u32;
     let mut insns = Vec::with_capacity(8);
-    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(1);
-    let mut seg_start = start;
-    let mut idx = start_idx;
     let mut prev_is_load = true; // a hazard can cross the block entry
-                                 // Accumulates [`Block::worst_cycles`]: pushed `base_cycles` (chased
-                                 // jumps carry their folded penalty), a worst-case stall wherever the
-                                 // hazard is consulted, and the final instruction's worst penalty.
+                                 // Accumulates [`Block::worst_cycles`]: every `base_cycles` plus a
+                                 // worst-case stall wherever the hazard is consulted.
     let mut worst_cycles = 0u64;
-    while let Some(&instr) = code.get(idx) {
-        let pc = layout::CODE_BASE + 4 * idx as u32;
+    for (idx, &instr) in code.iter().enumerate().skip(start_idx) {
         let mut base_cycles = core.instr_cycles(&instr);
         if load_filter {
             // Same folding as the stepwise loop: the revocation-bit lookup
@@ -504,46 +435,9 @@ pub fn build_block(
                 base_cycles += core.filter_load_to_use;
             }
         }
-        if chase {
-            if let Instr::Jal { rd, offset } = instr {
-                let target = pc.wrapping_add(offset as u32);
-                // Forward only (backward jumps are loop edges — the
-                // successor links handle those without unrolling), and
-                // always leaving room for at least one instruction at the
-                // target, so a chased jump is never the last instruction
-                // (its jump penalty is folded into `base_cycles`; the
-                // dispatch loop must never route it through `exec`, which
-                // would charge the penalty again).
-                if rd == Reg::ZERO
-                    && offset % 4 == 0
-                    && target > pc
-                    && insns.len() + 2 <= MAX_BLOCK_LEN
-                {
-                    let t_idx = ((target - layout::CODE_BASE) / 4) as usize;
-                    if t_idx < code.len() && t_idx - start_idx < MAX_COVER_SPAN {
-                        worst_cycles += base_cycles
-                            + core.jump_penalty
-                            + if prev_is_load { core.load_to_use } else { 0 };
-                        insns.push(PredecodedInsn {
-                            pc,
-                            instr,
-                            base_cycles: base_cycles + core.jump_penalty,
-                            mem_beats: core.mem_beats(&instr),
-                            srcs: instr.sources(),
-                            check_hazard: prev_is_load,
-                        });
-                        prev_is_load = false;
-                        ranges.push((seg_start, pc + 4));
-                        seg_start = target;
-                        idx = t_idx;
-                        continue;
-                    }
-                }
-            }
-        }
         worst_cycles += base_cycles + if prev_is_load { core.load_to_use } else { 0 };
         insns.push(PredecodedInsn {
-            pc,
+            pc: layout::CODE_BASE + 4 * idx as u32,
             instr,
             base_cycles,
             mem_beats: core.mem_beats(&instr),
@@ -551,63 +445,22 @@ pub fn build_block(
             check_hazard: prev_is_load,
         });
         prev_is_load = matches!(instr, Instr::Load { .. } | Instr::Clc { .. });
-        idx += 1;
-        if instr.is_block_boundary()
-            || insns.len() >= MAX_BLOCK_LEN
-            || idx - start_idx >= MAX_COVER_SPAN
-        {
+        if instr.is_block_boundary() || insns.len() >= MAX_BLOCK_LEN {
             break;
         }
     }
-    let end = layout::CODE_BASE + 4 * idx as u32;
-    ranges.push((seg_start, end));
     // The final instruction may pay a taken-branch or jump penalty on top
-    // of its base cost (interior chased jumps already folded theirs in).
+    // of its base cost.
     worst_cycles += core.branch_taken_penalty.max(core.jump_penalty);
-    // Fast stream: fold chased jumps — interior `jal x0`, identified by
-    // position, since every other `jal` ends the block — into the
-    // instruction they land on, and stop at the first instruction the
-    // inline arms cannot handle.
-    let mut fast = Vec::with_capacity(insns.len());
-    let mut fast_end = 0u32;
-    let mut fold_cycles = 0u64;
-    let mut fold_retires = 0u32;
-    let mut fold_start: Option<u32> = None;
-    let mut fold_hazard: Option<(bool, [Option<Reg>; 2])> = None;
-    for (i, d) in insns.iter().enumerate() {
-        let interior = i + 1 < insns.len();
-        if interior && matches!(d.instr, Instr::Jal { rd, .. } if rd == Reg::ZERO) {
-            fold_cycles += d.base_cycles;
-            fold_retires += 1;
-            if fold_start.is_none() {
-                fold_start = Some(i as u32);
-                fold_hazard = Some((d.check_hazard, d.srcs));
-            }
-            continue;
-        }
-        if !statically_fast(&d.instr) {
-            break;
-        }
-        let (check_hazard, srcs) = fold_hazard.take().unwrap_or((d.check_hazard, d.srcs));
-        fast.push(FastOp {
-            d: *d,
-            cycles: fold_cycles + d.base_cycles,
-            retires: fold_retires + 1,
-            resume: fold_start.take().unwrap_or(i as u32),
-            check_hazard,
-            srcs,
-        });
-        fold_cycles = 0;
-        fold_retires = 0;
-        fast_end = i as u32 + 1;
-    }
+    let fast_end = insns
+        .iter()
+        .position(|d| !statically_fast(&d.instr))
+        .unwrap_or(insns.len()) as u32;
     Block {
         start,
-        end,
+        end: start + 4 * insns.len() as u32,
         insns: insns.into_boxed_slice(),
-        ranges: ranges.into_boxed_slice(),
         worst_cycles,
-        fast: fast.into_boxed_slice(),
         fast_end,
     }
 }
@@ -615,7 +468,7 @@ pub fn build_block(
 /// Can the chained dispatch loop's inline arms ([`exec_fast` in
 /// `machine.rs`]) handle this instruction? Must stay in lockstep with the
 /// arms in the conservative direction only: `false` for a handled
-/// instruction merely shortens the fast stream, while the arms themselves
+/// instruction merely shortens the fast prefix, while the arms themselves
 /// decide dynamically (SRAM hit, passing capability check) whether to
 /// execute or bail, so a statically-fast instruction that cannot be
 /// handled at runtime still falls back correctly.
@@ -661,20 +514,19 @@ mod tests {
             offset: -12,
         });
         code.extend(nopish(4));
-        let b = build_block(&code, 0, &CoreModel::ibex(), true, true);
+        let b = build_block(&code, 0, &CoreModel::ibex(), true);
         assert_eq!(b.len(), 4, "three nops plus the branch");
         assert_eq!(b.start, layout::CODE_BASE);
         assert_eq!(b.end, layout::CODE_BASE + 16);
-        assert_eq!(&*b.ranges, &[(layout::CODE_BASE, layout::CODE_BASE + 16)]);
     }
 
     #[test]
     fn block_truncates_at_code_end_and_max_len() {
         let code = nopish(5);
-        let b = build_block(&code, 2, &CoreModel::flute(), false, true);
+        let b = build_block(&code, 2, &CoreModel::flute(), false);
         assert_eq!(b.len(), 3, "runs to the end of loaded code");
         let long = nopish(MAX_BLOCK_LEN * 2);
-        let b = build_block(&long, 0, &CoreModel::flute(), false, true);
+        let b = build_block(&long, 0, &CoreModel::flute(), false);
         assert_eq!(b.len(), MAX_BLOCK_LEN);
     }
 
@@ -686,8 +538,8 @@ mod tests {
             offset: 0,
         };
         let core = CoreModel::ibex();
-        let with = build_block(&[clc], 0, &core, true, true);
-        let without = build_block(&[clc], 0, &core, false, true);
+        let with = build_block(&[clc], 0, &core, true);
+        let without = build_block(&[clc], 0, &core, false);
         assert_eq!(
             with.insns[0].base_cycles,
             without.insns[0].base_cycles + core.filter_load_to_use
@@ -695,44 +547,68 @@ mod tests {
     }
 
     #[test]
-    fn forward_jal_grows_a_superblock() {
-        // addi; j +8 (skips one word); [skipped]; addi; halt
+    fn forward_jal_ends_a_block() {
+        // addi; j +8; [jumped over]; addi; halt
         let code = vec![
             Instr::NOP,
             Instr::Jal {
                 rd: Reg::ZERO,
                 offset: 8,
             },
-            Instr::NOP, // skipped
+            Instr::NOP,
             Instr::NOP,
             Instr::Halt,
         ];
         let core = CoreModel::ibex();
-        let b = build_block(&code, 0, &core, true, true);
-        assert_eq!(b.len(), 4, "chased across the jump: nop, jal, nop, halt");
-        assert_eq!(
-            &*b.ranges,
-            &[
-                (layout::CODE_BASE, layout::CODE_BASE + 8),
-                (layout::CODE_BASE + 12, layout::CODE_BASE + 20),
-            ]
-        );
-        assert_eq!(b.end, layout::CODE_BASE + 20);
-        // The chased jump carries its own pc and the folded jump penalty.
-        assert_eq!(b.insns[1].pc, layout::CODE_BASE + 4);
-        assert_eq!(b.insns[2].pc, layout::CODE_BASE + 12);
-        assert_eq!(
-            b.insns[1].base_cycles,
-            core.instr_cycles(&code[1]) + core.jump_penalty
-        );
-        assert!(b.covers(layout::CODE_BASE + 4));
-        assert!(!b.covers(layout::CODE_BASE + 8), "skipped word not covered");
-        assert!(b.covers(layout::CODE_BASE + 12));
-
-        // Chasing off: the jump ends the block as before.
-        let b = build_block(&code, 0, &core, true, false);
-        assert_eq!(b.len(), 2);
+        let b = build_block(&code, 0, &core, true);
+        assert_eq!(b.len(), 2, "nop, then the jump ends the block");
         assert_eq!(b.end, layout::CODE_BASE + 8);
+        assert_eq!(b.insns[1].base_cycles, core.instr_cycles(&code[1]));
+        assert!(b.covers(layout::CODE_BASE + 4));
+        assert!(!b.covers(layout::CODE_BASE + 8));
+    }
+
+    #[test]
+    fn blocks_are_contiguous_with_fast_prefix_up_to_first_slow_insn() {
+        let load = Instr::Load {
+            width: crate::insn::MemWidth::W,
+            signed: false,
+            rd: Reg::A0,
+            rs1: Reg::SP,
+            offset: 0,
+        };
+        let auipcc = Instr::Auipcc {
+            rd: Reg::A1,
+            imm: 0,
+        };
+        let j = Instr::Jal {
+            rd: Reg::ZERO,
+            offset: 8,
+        };
+        let mut code = vec![Instr::NOP, load, Instr::NOP, auipcc, Instr::NOP, j];
+        code.extend([auipcc, Instr::NOP, Instr::Halt, j, Instr::NOP]);
+        code.extend(nopish(MAX_BLOCK_LEN + 3));
+        for core in [CoreModel::ibex(), CoreModel::flute()] {
+            for start in 0..code.len() {
+                let b = build_block(&code, start, &core, true);
+                assert_eq!(b.start, layout::CODE_BASE + 4 * start as u32);
+                assert_eq!(b.end, b.start + 4 * b.len() as u32, "start {start}");
+                for (i, d) in b.insns.iter().enumerate() {
+                    assert_eq!(d.pc, b.start + 4 * i as u32);
+                    assert_eq!(d.instr, code[start + i]);
+                }
+                let first_slow = b.insns.iter().position(|d| !statically_fast(&d.instr));
+                assert_eq!(
+                    b.fast_end as usize,
+                    first_slow.unwrap_or(b.len()),
+                    "start {start}"
+                );
+            }
+        }
+        let b = build_block(&code, 0, &CoreModel::ibex(), true);
+        assert_eq!((b.len(), b.fast_end), (6, 3), "auipcc is not fast");
+        let b = build_block(&code, 6, &CoreModel::ibex(), true);
+        assert_eq!((b.len(), b.fast_end), (3, 0), "block opening slow");
     }
 
     #[test]
@@ -744,7 +620,7 @@ mod tests {
                 offset: -4,
             },
         ];
-        let b = build_block(&back, 0, &CoreModel::ibex(), true, true);
+        let b = build_block(&back, 0, &CoreModel::ibex(), true);
         assert_eq!(b.len(), 2, "backward jump stays a boundary");
         let call = vec![
             Instr::NOP,
@@ -755,7 +631,7 @@ mod tests {
             Instr::NOP,
             Instr::NOP,
         ];
-        let b = build_block(&call, 0, &CoreModel::ibex(), true, true);
+        let b = build_block(&call, 0, &CoreModel::ibex(), true);
         assert_eq!(b.len(), 2, "linking jump (call) stays a boundary");
     }
 
@@ -765,8 +641,8 @@ mod tests {
         let code = nopish(16);
         let core = CoreModel::ibex();
         // Two overlapping blocks: one from slot 0, a suffix from slot 2.
-        cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 16);
-        cache.insert(2, Arc::new(build_block(&code, 2, &core, true, true)), 16);
+        cache.insert(0, Arc::new(build_block(&code, 0, &core, true)), 16);
+        cache.insert(2, Arc::new(build_block(&code, 2, &core, true)), 16);
         assert_eq!(cache.resident(), 2);
         let removed = cache.invalidate_covering(layout::CODE_BASE + 3 * 4);
         assert_eq!(removed, 2, "both blocks cover slot 3");
@@ -776,26 +652,20 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_skips_superblock_holes() {
-        // A superblock covering two segments: a patch in the skipped hole
-        // must not drop it; a patch in the second segment must.
-        let code = vec![
-            Instr::NOP,
-            Instr::Jal {
-                rd: Reg::ZERO,
-                offset: 8,
-            },
-            Instr::NOP, // the hole
-            Instr::NOP,
-            Instr::Halt,
-        ];
+    fn invalidation_window_spans_a_full_length_block() {
+        // A maximal block starting MAX_BLOCK_LEN - 1 slots before the
+        // patched word still covers it and must drop; the block one slot
+        // earlier ends just short of it and must stay.
+        let code = nopish(2 * MAX_BLOCK_LEN);
         let core = CoreModel::ibex();
         let mut cache = BlockCache::default();
-        cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 5);
-        assert_eq!(cache.invalidate_covering(layout::CODE_BASE + 8), 0);
-        assert_eq!(cache.resident(), 1, "hole patch leaves the block");
-        assert_eq!(cache.invalidate_covering(layout::CODE_BASE + 12), 1);
-        assert_eq!(cache.resident(), 0, "second-segment patch drops it");
+        let n = code.len();
+        cache.insert(0, Arc::new(build_block(&code, 0, &core, true)), n);
+        cache.insert(1, Arc::new(build_block(&code, 1, &core, true)), n);
+        let patched = layout::CODE_BASE + 4 * MAX_BLOCK_LEN as u32;
+        assert_eq!(cache.invalidate_covering(patched), 1);
+        assert!(cache.lookup(0).is_some(), "ends one word before the patch");
+        assert!(cache.lookup(1).is_none(), "last word is the patched one");
     }
 
     #[test]
@@ -817,8 +687,8 @@ mod tests {
         });
         code.extend(nopish(3)); // slots 5..8 fall through to the code end
         let core = CoreModel::ibex();
-        cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 8);
-        cache.insert(5, Arc::new(build_block(&code, 5, &core, true, true)), 8);
+        cache.insert(0, Arc::new(build_block(&code, 0, &core, true)), 8);
+        cache.insert(5, Arc::new(build_block(&code, 5, &core, true)), 8);
         let old_end = layout::CODE_BASE + 4 * code.len() as u32;
         let removed = cache.on_append(old_end);
         assert_eq!(removed, 1, "only the block ending at the old code end");
@@ -831,7 +701,7 @@ mod tests {
         let mut cache = BlockCache::default();
         let code = nopish(16);
         let core = CoreModel::ibex();
-        cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 16);
+        cache.insert(0, Arc::new(build_block(&code, 0, &core, true)), 16);
         let gen = cache.stats.generation;
         let fp = (0x8000_0000u32, 0x8001_0000u64);
         cache.link_insert(0, gen, 0x8000_0040, fp, 4);
@@ -854,7 +724,7 @@ mod tests {
         let mut cache = BlockCache::default();
         let code = nopish(16);
         let core = CoreModel::ibex();
-        cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 16);
+        cache.insert(0, Arc::new(build_block(&code, 0, &core, true)), 16);
         let gen = cache.stats.generation;
         let fp = (0x8000_0000u32, 0x8001_0000u64);
         cache.link_insert(0, gen, 0x8000_0040, fp, 4);

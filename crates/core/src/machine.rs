@@ -2,9 +2,7 @@
 //! timer + console, with per-instruction cycle accounting driven by a
 //! [`CoreModel`].
 
-use crate::blockcache::{
-    build_block, Block, BlockCache, BlockCacheStats, PredecodedInsn, SentryIc,
-};
+use crate::blockcache::{build_block, Block, BlockCache, BlockCacheStats, SentryIc};
 use crate::bus::{DeviceBus, Uart};
 use crate::cpu::Cpu;
 use crate::error::SimError;
@@ -76,11 +74,10 @@ pub struct MachineConfig {
     /// per-instruction stepwise loop (CLI `--no-block-cache`).
     pub block_cache: bool,
     /// Chain predecoded blocks directly (DESIGN.md §13): successor links
-    /// that skip the dispatcher and the PCC fetch re-check, superblocks
-    /// across unconditional forward jumps, and sentry inline caches for
-    /// `cjalr` call sites. Architecturally invisible — `false` keeps the
-    /// PR-4 one-block-per-dispatch loop (CLI `--no-block-chain`). Only
-    /// meaningful when `block_cache` is on.
+    /// that skip the dispatcher and the PCC fetch re-check, and sentry
+    /// inline caches for `cjalr` call sites. Architecturally invisible —
+    /// `false` returns to the dispatcher after every block (CLI
+    /// `--no-block-chain`). Only meaningful when `block_cache` is on.
     pub block_chain: bool,
     /// Copy-on-write page store enabled ([`crate::mem::Sram`])? When
     /// false (CLI `--no-cow`) SRAM pages are kept uniquely owned and
@@ -352,17 +349,6 @@ impl Snapshot {
     }
 }
 
-/// One retired-instruction trace record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Cycle count at retire.
-    pub cycles: u64,
-    /// Program counter.
-    pub pc: u32,
-    /// The instruction.
-    pub instr: Instr,
-}
-
 impl Clone for Machine {
     /// Clones the architectural state. The tracer (if any) stays with the
     /// original: a trace is a log of one machine's history, and sinks may
@@ -468,42 +454,6 @@ impl Machine {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.emit(self.cycles, kind);
         }
-    }
-
-    /// Enables the classic execution trace: the last `depth` retired
-    /// instructions are kept readable via [`Machine::trace_entries`].
-    ///
-    /// Compat wrapper over the structured tracing subsystem: installs a
-    /// [`Tracer`] in instruction-ring configuration
-    /// ([`Tracer::instr_ring`]).
-    pub fn enable_trace(&mut self, depth: usize) {
-        self.set_tracer(Tracer::instr_ring(depth));
-    }
-
-    /// The buffered instruction trace (oldest first). Empty unless a
-    /// tracer whose sink records instruction-retire events is installed
-    /// ([`Machine::enable_trace`] does).
-    ///
-    /// Compat wrapper: reconstructs each [`TraceEntry`]'s instruction from
-    /// the (immutable) code region by program counter.
-    pub fn trace_entries(&self) -> Vec<TraceEntry> {
-        let Some(t) = self.tracer.as_deref() else {
-            return Vec::new();
-        };
-        t.events()
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                EventKind::InstrRetired { pc } => {
-                    let idx = pc.checked_sub(layout::CODE_BASE)? / 4;
-                    self.code.get(idx as usize).map(|&instr| TraceEntry {
-                        cycles: ev.cycles,
-                        pc,
-                        instr,
-                    })
-                }
-                _ => None,
-            })
-            .collect()
     }
 
     // --- Program loading ----------------------------------------------------
@@ -1368,20 +1318,23 @@ impl Machine {
         }
     }
 
-    /// Dispatches one predecoded instruction through the inline fast
-    /// arms, mirroring each `exec` arm exactly. Returns whether the
-    /// instruction was handled: on `true` nothing trapped, halted or
-    /// jumped, no penalty cycles accrued beyond `base_cycles`, and
-    /// neither `mtimecmp` nor the revoker IRQ line moved — the guarantees
-    /// the chained dispatch loop's register-resident counters and its
-    /// unchecked inner loop (DESIGN.md §13) rely on. On `false` nothing
-    /// was mutated and the caller re-executes through the general `exec`
-    /// path from scratch. `interior` is true when another predecoded
-    /// instruction follows in the same block (it gates the chased-jump
-    /// arm, whose penalty was folded in at decode).
+    /// Dispatches one instruction through the inline fast arms. Returns
+    /// whether the instruction was handled: on `true` nothing trapped,
+    /// halted or jumped, no penalty cycles accrued beyond `base_cycles`,
+    /// and neither `mtimecmp` nor the revoker IRQ line moved — the
+    /// guarantees the chained dispatch loop's register-resident counters
+    /// and its unchecked inner loop (DESIGN.md §13) rely on. On `false`
+    /// nothing was mutated and the caller re-executes through the general
+    /// `exec` path from scratch.
+    ///
+    /// The register-only arms (integer ALU, `lui`, and the capability
+    /// ALU) always succeed and are the *only* copy of those semantics:
+    /// `exec` routes them here. The memory arms mirror their `exec` arms
+    /// for the common SRAM case and bail on anything else. Kept as one
+    /// flat `match` for the hot loop (DESIGN.md §13).
     #[inline(always)]
-    fn exec_fast(&mut self, d: &PredecodedInsn, interior: bool) -> bool {
-        match d.instr {
+    fn exec_fast(&mut self, instr: &Instr) -> bool {
+        match *instr {
             Instr::Lui { rd, imm } => {
                 self.cpu.write_int(rd, imm << 12);
                 true
@@ -1531,9 +1484,9 @@ impl Machine {
             }
             // The pure-register capability ALU: never traps (CHERIoT
             // monotonicity failures detag instead), never jumps,
-            // touches no counters or MMIO. Each arm mirrors its
-            // `exec` arm exactly. These dominate the capability
-            // CoreMark mix (pointer derivation and arithmetic).
+            // touches no counters or MMIO. These dominate the
+            // capability CoreMark mix (pointer derivation and
+            // arithmetic).
             Instr::CGet { field, rd, rs1 } => {
                 let c = self.cpu.read(rs1);
                 let v = match field {
@@ -1603,14 +1556,6 @@ impl Machine {
                 self.cpu.write(rd, c);
                 true
             }
-            // An *interior* `j` is a chased superblock edge: rd is
-            // x0 (no state change), the jump penalty was folded
-            // into `base_cycles` at decode, and the next
-            // predecoded instruction's `pc` is the target. A `j`
-            // in last position was *not* chased and takes the
-            // inline exit arm below instead (charging the penalty
-            // here and there would double-count it).
-            Instr::Jal { rd, .. } if rd == Reg::ZERO && interior => true,
             _ => false,
         }
     }
@@ -1708,15 +1653,15 @@ impl Machine {
                 // timer compare (and the instruction budget covers the whole
                 // block, no tracer wants per-instruction events, and cycles
                 // are plain bumps), none of the per-instruction boundary
-                // checks below can fire — run the block's *fast stream*
-                // (chased jumps pre-folded into their successors at decode)
-                // without them. Fast arms cannot move `mtimecmp`, the
-                // interrupt posture or the halt latch, and without a hardware
-                // revoker `irq_pend` is constant across the stretch, so every
-                // skipped check would have evaluated false. An element the
-                // fast path refuses falls through to the checked loop at its
-                // `resume` index with nothing executed twice: `ins`/`cyc` are
-                // charged only after `exec_fast` succeeds, and a hazard stall
+                // checks below can fire — run the block's fast prefix
+                // `insns[..fast_end]` without them. Fast arms cannot move
+                // `mtimecmp`, the interrupt posture or the halt latch, and
+                // without a hardware revoker `irq_pend` is constant across
+                // the stretch, so every skipped check would have evaluated
+                // false. An instruction the fast path refuses falls through
+                // to the checked loop at its own index (`(pc - start) / 4`:
+                // blocks are flat) with nothing executed twice: `ins`/`cyc`
+                // charge only the instructions before it, and a hazard stall
                 // consumed here stays consumed (`pending_use.take()`),
                 // matching the stepwise order of charge-then-execute.
                 let mut skip = 0usize;
@@ -1727,27 +1672,32 @@ impl Machine {
                     && (!enabled
                         || (!irq_pend && cyc.saturating_add(block.worst_cycles) < mtimecmp))
                 {
-                    skip = block.fast_end as usize;
-                    for f in block.fast.iter() {
-                        if f.check_hazard {
+                    let prefix = &block.insns[..block.fast_end as usize];
+                    skip = prefix.len();
+                    for d in prefix {
+                        if d.check_hazard {
                             if let Some((r, penalty)) = self.pending_use.take() {
-                                if f.srcs.iter().flatten().any(|&s| s == r) {
+                                if d.srcs.iter().flatten().any(|&s| s == r) {
                                     self.stats.stall_cycles += penalty;
                                     cyc += penalty;
                                 }
                             }
                         }
-                        if !self.exec_fast(&f.d, true) {
-                            skip = f.resume as usize;
+                        if !self.exec_fast(&d.instr) {
+                            skip = ((d.pc - block.start) / 4) as usize;
                             break;
                         }
-                        ins += u64::from(f.retires);
-                        cyc += f.cycles;
+                        cyc += d.base_cycles;
                     }
+                    ins += skip as u64;
                 }
-                for (i, d) in block.insns.iter().enumerate().skip(skip) {
+                // Both loops locate an instruction in the block by its `pc`
+                // (blocks are flat) instead of counting an index: that keeps
+                // them to a bare pointer walk, which measured faster.
+                let fast_pc_end = block.start + 4 * block.fast_end;
+                for d in &block.insns[skip..] {
                     let pc = d.pc;
-                    if i != 0 && (cyc >= limit || ins >= wd) {
+                    if pc != block.start && (cyc >= limit || ins >= wd) {
                         // Budget boundary mid-block: stop exactly where the
                         // stepwise loop would, PC on the next instruction.
                         self.cycles = cyc;
@@ -1778,8 +1728,11 @@ impl Machine {
                         self.cycles = cyc; // event timestamp
                         self.trace_emit(EventKind::InstrRetired { pc });
                     }
-                    let fast = self.exec_fast(d, i + 1 < n);
-                    if fast {
+                    // Only the fast prefix is tried inline; the rest of the
+                    // block (enders, and anything after a slow instruction)
+                    // skips straight to the ender arms and `exec`, whose
+                    // catch-all reaches the same inline arms.
+                    if pc < fast_pc_end && self.exec_fast(&d.instr) {
                         if plain_cycles {
                             cyc += d.base_cycles;
                         } else {
@@ -1789,66 +1742,30 @@ impl Machine {
                             irq_pend = self.irq_lines_pending();
                         }
                         // Fast arms cannot halt, so only the interrupt-arrival
-                        // check applies before the next instruction. (A fast
-                        // arm can sit in last position when a block was
-                        // truncated at the length cap, hence the `get`.)
+                        // check applies before the next instruction.
                         if enabled && (cyc >= mtimecmp || irq_pend) {
-                            let npc = block.insns.get(i + 1).map_or(pc.wrapping_add(4), |x| x.pc);
                             self.cycles = cyc;
                             self.stats.instructions = ins;
-                            self.finish_jump(npc);
+                            self.finish_jump(pc.wrapping_add(4));
                             break 'body BodyExit::Stop;
                         }
                         continue;
                     }
                     // Inline block-ender arms: the dominant control-flow exits
-                    // dispatch without the general `exec` round trip. Each
-                    // replicates its `exec` arm exactly but defers the PCC
-                    // address write to the chain boundary.
-                    match d.instr {
+                    // dispatch without the general `exec` round trip,
+                    // sharing `exec`'s resolution helpers but deferring the
+                    // PCC address write to the chain boundary.
+                    let direct = match d.instr {
                         Instr::Branch {
                             cond,
                             rs1,
                             rs2,
                             offset,
-                        } => {
-                            let a = self.cpu.read_int(rs1);
-                            let b = self.cpu.read_int(rs2);
-                            let (npc, extra) = if branch_taken(cond, a, b) {
-                                self.stats.taken_branches += 1;
-                                (
-                                    pc.wrapping_add(offset as u32),
-                                    self.cfg.core.branch_taken_penalty,
-                                )
-                            } else {
-                                (pc.wrapping_add(4), 0)
-                            };
-                            if plain_cycles {
-                                cyc += d.base_cycles + extra;
-                            } else {
-                                self.cycles = cyc;
-                                self.advance(d.base_cycles + extra, d.mem_beats);
-                                cyc = self.cycles;
-                                irq_pend = self.irq_lines_pending();
-                            }
-                            break 'body BodyExit::Fall(npc);
-                        }
+                        } => Some(self.branch_exit(cond, rs1, rs2, offset, pc)),
+                        // `j`: the x0 link is a no-op and nothing can trap (a
+                        // linking `jal` takes the general path below).
                         Instr::Jal { rd, offset } if rd == Reg::ZERO => {
-                            // A last-position `j` (interior ones were chased
-                            // at decode and took the fast arm): the x0 link is
-                            // a no-op and nothing can trap.
-                            if plain_cycles {
-                                cyc += d.base_cycles + self.cfg.core.jump_penalty;
-                            } else {
-                                self.cycles = cyc;
-                                self.advance(
-                                    d.base_cycles + self.cfg.core.jump_penalty,
-                                    d.mem_beats,
-                                );
-                                cyc = self.cycles;
-                                irq_pend = self.irq_lines_pending();
-                            }
-                            break 'body BodyExit::Fall(pc.wrapping_add(offset as u32));
+                            Some(self.jal_exit(offset, pc))
                         }
                         Instr::Jalr { rd, rs1, .. } if chain && self.cfg.cheri_enabled => {
                             // Sentry inline cache (DESIGN.md §13): a call
@@ -1918,8 +1835,20 @@ impl Machine {
                                 ic_pending =
                                     Some((target.to_word(), sentry_posture_effect(&target)));
                             }
+                            None
                         }
-                        _ => {}
+                        _ => None,
+                    };
+                    if let Some((npc, extra)) = direct {
+                        if plain_cycles {
+                            cyc += d.base_cycles + extra;
+                        } else {
+                            self.cycles = cyc;
+                            self.advance(d.base_cycles + extra, d.mem_beats);
+                            cyc = self.cycles;
+                            irq_pend = self.irq_lines_pending();
+                        }
+                        break 'body BodyExit::Fall(npc);
                     }
                     self.cycles = cyc;
                     self.stats.instructions = ins;
@@ -1958,7 +1887,7 @@ impl Machine {
                             break 'body BodyExit::Jumped;
                         }
                     }
-                    let npc = block.insns.get(i + 1).map_or(pc.wrapping_add(4), |x| x.pc);
+                    let npc = pc.wrapping_add(4);
                     if self.halted.is_some() {
                         // Idle `wfi` with interrupts off: retires, PC advances.
                         self.finish_jump(npc);
@@ -2135,7 +2064,6 @@ impl Machine {
             idx,
             &self.cfg.core,
             self.cfg.load_filter,
-            self.cfg.block_chain,
         ));
         let code_words = self.code.len();
         // The miss path caches a clone and returns the original; after
@@ -2153,17 +2081,16 @@ impl Machine {
     }
 
     /// Can the current PCC fetch every instruction of `block`? The single
-    /// audit point for batched fetch verification: each covered segment
-    /// is one contiguous interval, so checking its first and last
-    /// instruction covers every one in between, and the chained dispatch
-    /// loop may elide this check entirely on edges recorded under the
-    /// same PCC [`Capability::fetch_fingerprint`] — equal fingerprints
-    /// give identical answers here (DESIGN.md §13).
+    /// audit point for batched fetch verification: the block is one
+    /// contiguous interval, so checking its first and last instruction
+    /// covers every one in between, and the chained dispatch loop may
+    /// elide this check entirely on edges recorded under the same PCC
+    /// [`Capability::fetch_fingerprint`] — equal fingerprints give
+    /// identical answers here (DESIGN.md §13).
     fn verify_block_fetch(&self, block: &Block) -> bool {
-        block
-            .ranges
-            .iter()
-            .all(|&(s, e)| self.cpu.pcc.check_fetch_range(s, e.wrapping_sub(4)))
+        self.cpu
+            .pcc
+            .check_fetch_range(block.start, block.end.wrapping_sub(4))
     }
 
     /// Executes one instruction (or delivers one interrupt).
@@ -2249,7 +2176,6 @@ impl Machine {
         let mut extra = 0;
         let mut next_pc = next;
         match instr {
-            Instr::Lui { rd, imm } => self.cpu.write_int(rd, imm << 12),
             Instr::Auipcc { rd, imm } => {
                 let c = self.cpu.pcc.with_address(pc.wrapping_add(imm as u32));
                 self.cpu.write(rd, c);
@@ -2259,38 +2185,15 @@ impl Machine {
                 let c = gp.with_address(gp.address().wrapping_add(imm as u32));
                 self.cpu.write(rd, c);
             }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.cpu.read_int(rs1);
-                self.cpu.write_int(rd, alu(op, a, imm as u32));
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                self.cpu.write_int(rd, alu(op, a, b));
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                self.cpu.write_int(rd, muldiv(op, a, b));
-            }
             Instr::Branch {
                 cond,
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                if branch_taken(cond, a, b) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    extra += self.cfg.core.branch_taken_penalty;
-                    self.stats.taken_branches += 1;
-                }
-            }
+            } => (next_pc, extra) = self.branch_exit(cond, rs1, rs2, offset, pc),
             Instr::Jal { rd, offset } => {
                 self.link(rd, next)?;
-                next_pc = pc.wrapping_add(offset as u32);
-                extra += self.cfg.core.jump_penalty;
+                (next_pc, extra) = self.jal_exit(offset, pc);
             }
             Instr::Jalr { rd, rs1, offset } => {
                 let target = self.cpu.read(rs1);
@@ -2416,66 +2319,6 @@ impl Machine {
                 }
                 self.bus_write_cap(addr, c)?;
                 self.stats.cap_stores += 1;
-            }
-            Instr::CGet { field, rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                let v = match field {
-                    CapField::Perm => u32::from(c.perms().bits()),
-                    CapField::Type => u32::from(c.otype().field()),
-                    CapField::Base => c.base(),
-                    CapField::Len => c.length().min(u64::from(u32::MAX)) as u32,
-                    CapField::Tag => u32::from(c.tag()),
-                    CapField::Addr => c.address(),
-                    CapField::High => (c.to_word() >> 32) as u32,
-                };
-                self.cpu.write_int(rd, v);
-            }
-            Instr::CSetAddr { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let a = self.cpu.read_int(rs2);
-                self.cpu.write(rd, c.with_address(a));
-            }
-            Instr::CIncAddr { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let a = self.cpu.read_int(rs2);
-                self.cpu.write(rd, c.incremented(a as i32));
-            }
-            Instr::CIncAddrImm { rd, rs1, imm } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c.incremented(imm));
-            }
-            Instr::CSetBounds {
-                rd,
-                rs1,
-                rs2,
-                exact,
-            } => {
-                let c = self.cpu.read(rs1);
-                let len = u64::from(self.cpu.read_int(rs2));
-                let out = if exact {
-                    c.set_bounds_exact(len)
-                } else {
-                    c.set_bounds(len)
-                };
-                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-            }
-            Instr::CSetBoundsImm { rd, rs1, imm } => {
-                let c = self.cpu.read(rs1);
-                let out = c.set_bounds(u64::from(imm));
-                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-            }
-            Instr::CAndPerm { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let mask = Permissions::from_bits(self.cpu.read_int(rs2) as u16);
-                self.cpu.write(rd, c.and_perms(mask));
-            }
-            Instr::CClearTag { rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c.cleared());
-            }
-            Instr::CMove { rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c);
             }
             Instr::CSeal { rd, rs1, rs2 } => {
                 let c = self.cpu.read(rs1);
@@ -2605,6 +2448,12 @@ impl Machine {
                 self.halted = Some(ExitReason::Halted(self.cpu.read_int(Reg::A0)));
                 return Ok((0, PcOutcome::Stay));
             }
+            // Register-only instructions (`lui`, the integer and
+            // capability ALUs): the inline arms are their one copy.
+            _ => {
+                let handled = self.exec_fast(&instr);
+                debug_assert!(handled, "no inline arm for {instr:?}");
+            }
         }
         if next_pc == next {
             Ok((extra, PcOutcome::Advance))
@@ -2612,6 +2461,39 @@ impl Machine {
             self.finish_jump(next_pc);
             Ok((extra, PcOutcome::Jumped))
         }
+    }
+
+    /// Next PC and penalty cycles of a conditional branch at `pc`,
+    /// counting it when taken. Shared by `exec` and the chained loop's
+    /// inline block-ender arm.
+    #[inline(always)]
+    fn branch_exit(
+        &mut self,
+        cond: BranchCond,
+        rs1: Reg,
+        rs2: Reg,
+        offset: i32,
+        pc: u32,
+    ) -> (u32, u64) {
+        let a = self.cpu.read_int(rs1);
+        let b = self.cpu.read_int(rs2);
+        if branch_taken(cond, a, b) {
+            self.stats.taken_branches += 1;
+            (
+                pc.wrapping_add(offset as u32),
+                self.cfg.core.branch_taken_penalty,
+            )
+        } else {
+            (pc.wrapping_add(4), 0)
+        }
+    }
+
+    /// Target and penalty cycles of a `jal` at `pc` (the caller writes
+    /// the link register). Shared by `exec` and the chained loop's inline
+    /// block-ender arm.
+    #[inline(always)]
+    fn jal_exit(&self, offset: i32, pc: u32) -> (u32, u64) {
+        (pc.wrapping_add(offset as u32), self.cfg.core.jump_penalty)
     }
 
     fn finish_jump(&mut self, next_pc: u32) {

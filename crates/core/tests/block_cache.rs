@@ -387,18 +387,21 @@ fn smc_patch_of_linked_successor_takes_effect_in_all_modes() {
 }
 
 #[test]
-fn mid_superblock_trap_reports_pc_in_chased_segment() {
-    // The faulting load sits *after* a chased `jal x0` — in the second
-    // segment of a superblock, and behind a fast-stream element whose
-    // folded jump already retired. Every mode must attribute the trap to
-    // the load's own PC, with identical cycle and retirement counts.
+fn trap_after_forward_j_reports_faulting_pc() {
+    // The faulting load sits in the block a forward `j` lands on, behind
+    // one fast-prefix instruction. Every mode must attribute the trap to
+    // the load's own PC, with identical cycle and retirement counts —
+    // traced (the per-instruction checked loop), and untraced with no
+    // hardware revoker, where the chained loop runs the fast prefix
+    // unchecked and the load's bail must resume checked execution at the
+    // load itself.
     let prog = vec![
         addi(Reg::A0, Reg::A0, 1), // e+0
         Instr::Jal {
             rd: Reg::ZERO,
             offset: 8,
-        }, // e+4  chased → e+12
-        Instr::Halt,               // e+8  (skipped)
+        }, // e+4  → e+12
+        Instr::Halt,               // e+8  (jumped over)
         addi(Reg::A0, Reg::A0, 1), // e+12
         Instr::Load {
             width: MemWidth::W,
@@ -409,37 +412,48 @@ fn mid_superblock_trap_reports_pc_in_chased_segment() {
         }, // e+16  faults
         Instr::Halt,               // e+20
     ];
-    let mut results = Vec::new();
-    for mode in MODES {
-        let mut m = machine_mode(mode);
-        let e = m.load_program(&prog);
-        m.set_entry(e);
-        m.set_tracer(Tracer::timeline());
-        let exit = m.run(1_000);
-        assert!(
-            matches!(exit, ExitReason::Fault(_)),
-            "mode {mode:?}: expected a fault, got {exit:?}"
-        );
-        let traps: Vec<u32> = m
-            .tracer()
-            .unwrap()
-            .events()
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                EventKind::Trap { pc, .. } => Some(pc),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            traps,
-            vec![e + 16],
-            "mode {mode:?}: trap must report the faulting instruction's PC"
-        );
-        results.push(m);
-    }
-    let (s, rest) = results.split_first().unwrap();
-    for (m, mode) in rest.iter().zip(&MODES[1..]) {
-        assert_same_state(m, s, &format!("mode {mode:?} vs stepwise"));
+    for traced in [true, false] {
+        let mut results = Vec::new();
+        for mode in MODES {
+            let mut m = machine_mode(mode);
+            let e = m.load_program(&prog);
+            m.set_entry(e);
+            if traced {
+                m.set_tracer(Tracer::timeline());
+            } else {
+                m.cfg.hw_revoker = false;
+            }
+            let exit = m.run(1_000);
+            assert!(
+                matches!(exit, ExitReason::Fault(_)),
+                "mode {mode:?}, traced {traced}: expected a fault, got {exit:?}"
+            );
+            // No trap vector: the PCC stays on the offending instruction.
+            assert_eq!(m.cpu.pc(), e + 16, "mode {mode:?}, traced {traced}");
+            if traced {
+                let traps: Vec<u32> = m
+                    .tracer()
+                    .unwrap()
+                    .events()
+                    .iter()
+                    .filter_map(|ev| match ev.kind {
+                        EventKind::Trap { pc, .. } => Some(pc),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    traps,
+                    vec![e + 16],
+                    "mode {mode:?}: trap must report the faulting instruction's PC"
+                );
+            }
+            assert_eq!(m.cpu.read_int(Reg::A0), 2, "mode {mode:?}");
+            results.push(m);
+        }
+        let (s, rest) = results.split_first().unwrap();
+        for (m, mode) in rest.iter().zip(&MODES[1..]) {
+            assert_same_state(m, s, &format!("mode {mode:?} vs stepwise, traced {traced}"));
+        }
     }
 }
 
@@ -467,7 +481,7 @@ fn sentry_inline_cache_invalidated_by_target_patch() {
         Instr::Jal {
             rd: Reg::ZERO,
             offset: -4,
-        }, // e+4 backward (not chased): call again
+        }, // e+4 backward: call again
     ];
     let run_with_patch = |mode: (bool, bool)| -> Machine {
         let mut m = machine_mode(mode);

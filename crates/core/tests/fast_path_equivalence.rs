@@ -229,44 +229,55 @@ fn three_way_dispatch_equivalence_with_timer_interrupts() {
     // register, interrupt delivery points, trace event streams — must be
     // byte-identical across all three dispatch modes, under live timer
     // interrupts re-armed from the handler (so the run repeatedly crosses
-    // trap entry, `mret`, and mid-block interrupt boundaries).
+    // trap entry, `mret`, and mid-block interrupt boundaries). The
+    // untraced pass drops the hardware revoker too, which is what lets
+    // the chained loop run block prefixes unchecked.
     use cheriot_core::trace::Tracer;
     let modes = [(false, false), (true, false), (true, true)];
-    let mut machines: Vec<Machine> = modes
-        .iter()
-        .map(|&mode| {
-            let mut m = timer_machine_mode(mode);
-            m.set_tracer(Tracer::timeline());
-            m
-        })
-        .collect();
-    let exits: Vec<ExitReason> = machines.iter_mut().map(|m| m.run(20_000)).collect();
-    assert_eq!(exits[0], exits[1]);
-    assert_eq!(exits[0], exits[2]);
-    let (s, rest) = machines.split_first().unwrap();
-    assert!(
-        s.stats.interrupts > 10,
-        "test must actually deliver interrupts (got {})",
-        s.stats.interrupts
-    );
-    for (m, mode) in rest.iter().zip(&modes[1..]) {
-        assert_eq!(m.cycles, s.cycles, "mode {mode:?}: cycles diverged");
-        assert_eq!(m.stats, s.stats, "mode {mode:?}: stats diverged");
-        assert_eq!(m.cpu.pc(), s.cpu.pc(), "mode {mode:?}: PC diverged");
-        assert_eq!(m.mtimecmp, s.mtimecmp, "mode {mode:?}: mtimecmp diverged");
-        for i in 0..16u8 {
-            let r = Reg(i);
-            assert_eq!(
-                m.cpu.read(r),
-                s.cpu.read(r),
-                "mode {mode:?}: register c{i} diverged"
-            );
-        }
-        assert_eq!(
-            m.tracer().unwrap().events(),
-            s.tracer().unwrap().events(),
-            "mode {mode:?}: trace event streams diverged"
+    for traced in [true, false] {
+        let mut machines: Vec<Machine> = modes
+            .iter()
+            .map(|&mode| {
+                let mut m = timer_machine_mode(mode);
+                if traced {
+                    m.set_tracer(Tracer::timeline());
+                } else {
+                    m.cfg.hw_revoker = false;
+                }
+                m
+            })
+            .collect();
+        let exits: Vec<ExitReason> = machines.iter_mut().map(|m| m.run(20_000)).collect();
+        assert_eq!(exits[0], exits[1], "traced {traced}");
+        assert_eq!(exits[0], exits[2], "traced {traced}");
+        let (s, rest) = machines.split_first().unwrap();
+        assert!(
+            s.stats.interrupts > 10,
+            "test must actually deliver interrupts (got {})",
+            s.stats.interrupts
         );
+        for (m, mode) in rest.iter().zip(&modes[1..]) {
+            let what = format!("mode {mode:?}, traced {traced}");
+            assert_eq!(m.cycles, s.cycles, "{what}: cycles diverged");
+            assert_eq!(m.stats, s.stats, "{what}: stats diverged");
+            assert_eq!(m.cpu.pc(), s.cpu.pc(), "{what}: PC diverged");
+            assert_eq!(m.mtimecmp, s.mtimecmp, "{what}: mtimecmp diverged");
+            for i in 0..16u8 {
+                let r = Reg(i);
+                assert_eq!(
+                    m.cpu.read(r),
+                    s.cpu.read(r),
+                    "{what}: register c{i} diverged"
+                );
+            }
+            if traced {
+                assert_eq!(
+                    m.tracer().unwrap().events(),
+                    s.tracer().unwrap().events(),
+                    "{what}: trace event streams diverged"
+                );
+            }
+        }
     }
 }
 
@@ -274,17 +285,29 @@ fn three_way_dispatch_equivalence_with_timer_interrupts() {
 fn three_way_dispatch_equivalence_across_sliced_budgets() {
     // Odd budget slices land boundary checks at different points of the
     // dispatch loops (mid-block stops, chain-boundary stops); the final
-    // state must not depend on the slicing in any mode.
-    for mode in [(false, false), (true, false), (true, true)] {
-        let mut whole = timer_machine_mode(mode);
-        let mut sliced = timer_machine_mode(mode);
-        whole.run(20_000);
-        while sliced.cycles < whole.cycles {
-            sliced.run((whole.cycles - sliced.cycles).min(117));
+    // state must not depend on the slicing in any mode, with or without
+    // the hardware revoker (without it, the chained loop's unchecked
+    // block prefixes run).
+    for hw_revoker in [true, false] {
+        for mode in [(false, false), (true, false), (true, true)] {
+            let mut whole = timer_machine_mode(mode);
+            let mut sliced = timer_machine_mode(mode);
+            whole.cfg.hw_revoker = hw_revoker;
+            sliced.cfg.hw_revoker = hw_revoker;
+            whole.run(20_000);
+            while sliced.cycles < whole.cycles {
+                sliced.run((whole.cycles - sliced.cycles).min(117));
+            }
+            let what = format!("mode {mode:?}, hw_revoker {hw_revoker}");
+            assert_eq!(whole.cycles, sliced.cycles, "{what}");
+            assert_eq!(whole.stats, sliced.stats, "{what}");
+            assert_eq!(whole.cpu.pc(), sliced.cpu.pc(), "{what}");
+            assert_eq!(whole.mtimecmp, sliced.mtimecmp, "{what}");
+            for i in 0..16u8 {
+                let r = Reg(i);
+                assert_eq!(whole.cpu.read(r), sliced.cpu.read(r), "{what}: c{i}");
+            }
         }
-        assert_eq!(whole.cycles, sliced.cycles, "mode {mode:?}");
-        assert_eq!(whole.stats, sliced.stats, "mode {mode:?}");
-        assert_eq!(whole.cpu.pc(), sliced.cpu.pc(), "mode {mode:?}");
     }
 }
 

@@ -219,50 +219,6 @@ fn load_filter_strip_emits_event_with_address() {
 }
 
 #[test]
-fn instr_ring_compat_keeps_last_n_and_counts_all() {
-    // The legacy `enable_trace`/`trace_entries` API now rides on the
-    // structured tracer: the ring keeps the newest `depth` retires while
-    // `recorded()` still counts every event that passed through.
-    let mut m = machine();
-    let prog = vec![
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::A0,
-            rs1: Reg::ZERO,
-            imm: 7,
-        },
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            imm: 1,
-        },
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            imm: 1,
-        },
-        Instr::Halt,
-    ];
-    let e = m.load_program(&prog);
-    m.set_entry(e);
-    m.enable_trace(2);
-    assert_eq!(m.run(1_000), ExitReason::Halted(9));
-
-    let entries = m.trace_entries();
-    assert_eq!(entries.len(), 2, "ring depth bounds the window");
-    assert_eq!(entries.last().unwrap().instr, Instr::Halt);
-    assert!(
-        entries.windows(2).all(|w| w[0].cycles <= w[1].cycles),
-        "entries stay in retirement order"
-    );
-    let t = m.tracer().unwrap();
-    assert_eq!(t.recorded(), 4, "all retires passed through the sink");
-    assert_eq!(t.metrics.counter("instr_retired"), 4);
-}
-
-#[test]
 fn clone_drops_tracer_but_keeps_machine_state() {
     // Machine::clone is used by tests to fork execution; the trace is one
     // machine's history, so the clone starts untraced.

@@ -3,7 +3,8 @@
 //! near-total opcode coverage — the same bar CI's `diff-fuzz-smoke` job
 //! holds the release binary to.
 
-use cheriot_diff::{run_fuzz, DiffConfig, Profile, OPCODE_NAMES};
+use cheriot_core::Machine;
+use cheriot_diff::{run_fuzz, run_fuzz_with, DiffConfig, Profile, OPCODE_NAMES};
 
 #[test]
 fn full_profile_campaign_is_divergence_free() {
@@ -67,4 +68,29 @@ fn json_report_shape() {
     assert!(json.contains("\"passed\": true"), "{json}");
     assert!(json.contains("\"opcodes_total\": 36"), "{json}");
     assert!(json.contains("\"divergences\": []"), "{json}");
+}
+
+#[test]
+fn unchecked_fast_prefix_is_divergence_free_without_hw_revoker() {
+    // The chained loop runs a block's fast prefix without per-instruction
+    // boundary checks only when no tracer is installed and there is no
+    // hardware revoker to step. The default engine configuration has the
+    // revoker, so this campaign turns it off on the engine side to put
+    // that loop — and its bail-and-resume path — under the golden model.
+    let no_revoker = |m: &mut Machine| m.cfg.hw_revoker = false;
+    let report = run_fuzz_with(
+        &DiffConfig {
+            seed_base: 1,
+            count: 256,
+            threads: 2,
+            ..DiffConfig::default()
+        },
+        Some(&no_revoker),
+    );
+    assert_eq!(report.pairs_run, 256 * 6, "6 engine configs per seed");
+    assert!(
+        report.passed(),
+        "differential divergences:\n{}",
+        report.render_text()
+    );
 }

@@ -59,9 +59,8 @@ impl Tracer {
         }
     }
 
-    /// Compat configuration for the classic instruction ring: keep the
-    /// last `depth` instruction-retire events, drop everything else from
-    /// the sink.
+    /// The classic instruction ring: keep the last `depth`
+    /// instruction-retire events, drop everything else from the sink.
     pub fn instr_ring(depth: usize) -> Tracer {
         Tracer::with_sink(Box::new(RingSink::new(depth)), true, false)
     }

@@ -523,8 +523,8 @@ pub enum DispatchMode {
     Stepwise,
     /// Predecoded block cache, returning to the dispatcher every block.
     Cached,
-    /// Block cache plus chained dispatch: successor links, superblocks,
-    /// and sentry inline caches.
+    /// Block cache plus chained dispatch: successor links and sentry
+    /// inline caches.
     Chained,
 }
 
