@@ -32,8 +32,9 @@
 //! `--check-baseline` compares against the committed baseline and exits
 //! nonzero on regression, leaving the file untouched.
 
-use cheriot_bench::baseline::{json_number, upsert_baseline};
+use cheriot_bench::baseline::{parse_baseline, upsert_baseline};
 use cheriot_bench::write_csv;
+use cheriot_core::trace::json::Json;
 use cheriot_farm::{run_farm, FarmConfig};
 use std::time::Instant;
 
@@ -64,16 +65,16 @@ fn cpu_now(epoch: Instant) -> f64 {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let check_baseline = std::env::args().any(|a| a == "--check-baseline");
-    let baseline_text = if check_baseline {
-        Some(
-            std::fs::read_to_string("BENCH_simperf.json").unwrap_or_else(|e| {
-                eprintln!("--check-baseline: cannot read BENCH_simperf.json: {e}");
-                std::process::exit(2);
-            }),
-        )
-    } else {
-        None
-    };
+    let baseline = check_baseline.then(|| {
+        let text = std::fs::read_to_string("BENCH_simperf.json").unwrap_or_else(|e| {
+            eprintln!("--check-baseline: cannot read BENCH_simperf.json: {e}");
+            std::process::exit(2);
+        });
+        parse_baseline(&text).unwrap_or_else(|e| {
+            eprintln!("--check-baseline: BENCH_simperf.json: {e}");
+            std::process::exit(2);
+        })
+    });
 
     let cfg = FarmConfig {
         devices: if quick { 64 } else { 256 },
@@ -188,32 +189,32 @@ fn main() {
         Err(e) => eprintln!("failed to write farm_throughput.csv: {e}"),
     }
 
-    if let Some(text) = baseline_text {
+    if let Some(baseline) = baseline {
         // Guard mode: compare, don't overwrite the committed reference.
-        let mut failed = false;
-        let mut check = |key: &str, value: f64| {
-            let Some(base) = json_number(&text, key) else {
+        // Floor check of one key; true on regression.
+        let check = |key: &str, value: f64, band: f64| {
+            let Some(base) = baseline.get(key).and_then(Json::as_f64) else {
                 println!("baseline check {key:<22} no baseline key, skipped");
-                return;
+                return false;
             };
-            let floor = base * (1.0 - FARM_NOISE_BAND);
-            let verdict = if base > 0.0 && value < floor {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
+            let floor = base * (1.0 - band);
+            let regressed = base > 0.0 && value < floor;
+            let verdict = if regressed { "REGRESSION" } else { "ok" };
             println!(
                 "baseline check {key:<22} measured {value:>9.2}  baseline {base:>9.2}  \
                  floor {floor:>9.2}  {verdict}"
             );
+            regressed
         };
-        check("farm_devices_per_core", best_dps);
-        check("farm_messages_per_s", best_mps);
+        let mut failed = check("farm_devices_per_core", best_dps, FARM_NOISE_BAND);
+        failed |= check("farm_messages_per_s", best_mps, FARM_NOISE_BAND);
         // Fork-cost keys: bytes-per-fork is guarded with a *ceiling*
         // (lower is better), the reduction ratio with a floor; both use
         // the tight deterministic band.
-        match json_number(&text, "farm_fork_bytes_per_device") {
+        match baseline
+            .get("farm_fork_bytes_per_device")
+            .and_then(Json::as_f64)
+        {
             None => println!(
                 "baseline check {:<22} no baseline key, skipped",
                 "farm_fork_bytes_per_device"
@@ -233,26 +234,7 @@ fn main() {
                 );
             }
         }
-        match json_number(&text, "farm_fork_reduction_x") {
-            None => println!(
-                "baseline check {:<22} no baseline key, skipped",
-                "farm_fork_reduction_x"
-            ),
-            Some(base) => {
-                let floor = base * (1.0 - FORK_COST_BAND);
-                let verdict = if base > 0.0 && fork_reduction < floor {
-                    failed = true;
-                    "REGRESSION"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "baseline check {:<22} measured {fork_reduction:>9.2}  baseline {base:>9.2}  \
-                     floor {floor:>9.2}  {verdict}",
-                    "farm_fork_reduction_x"
-                );
-            }
-        }
+        failed |= check("farm_fork_reduction_x", fork_reduction, FORK_COST_BAND);
         if failed {
             eprintln!(
                 "farm_throughput: regressed vs BENCH_simperf.json (band {:.0}%)",
@@ -268,10 +250,10 @@ fn main() {
         return;
     }
     let entries = [
-        ("farm_devices_per_core", format!("{best_dps:.2}")),
-        ("farm_messages_per_s", format!("{best_mps:.1}")),
-        ("farm_fork_bytes_per_device", format!("{fork_cow:.1}")),
-        ("farm_fork_reduction_x", format!("{fork_reduction:.1}")),
+        ("farm_devices_per_core", Json::fixed(best_dps, 2)),
+        ("farm_messages_per_s", Json::fixed(best_mps, 1)),
+        ("farm_fork_bytes_per_device", Json::fixed(fork_cow, 1)),
+        ("farm_fork_reduction_x", Json::fixed(fork_reduction, 1)),
     ];
     match upsert_baseline(std::path::Path::new("BENCH_simperf.json"), &entries) {
         Ok(line) => println!("wrote BENCH_simperf.json: {}", line.trim()),

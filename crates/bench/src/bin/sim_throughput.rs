@@ -49,8 +49,9 @@
 //! reboot path's per-seed `Machine::new` — swings severalfold with that
 //! same pressure. Baselines that predate a key skip its check.
 
-use cheriot_bench::baseline::{json_number, upsert_baseline};
+use cheriot_bench::baseline::{parse_baseline, upsert_baseline};
 use cheriot_bench::write_csv;
+use cheriot_core::trace::json::Json;
 use cheriot_core::CoreModel;
 use cheriot_workloads::{run_coremark_for_cycles_dispatch, CoreMarkConfig, DispatchMode};
 use std::time::Instant;
@@ -139,16 +140,16 @@ fn main() {
     let check_baseline = std::env::args().any(|a| a == "--check-baseline");
     let budget: u64 = if quick { 8_000_000 } else { 80_000_000 };
     let cfg = CoreMarkConfig::capabilities_with_filter();
-    let baseline_text = if check_baseline {
-        Some(
-            std::fs::read_to_string("BENCH_simperf.json").unwrap_or_else(|e| {
-                eprintln!("--check-baseline: cannot read BENCH_simperf.json: {e}");
-                std::process::exit(2);
-            }),
-        )
-    } else {
-        None
-    };
+    let baseline = check_baseline.then(|| {
+        let text = std::fs::read_to_string("BENCH_simperf.json").unwrap_or_else(|e| {
+            eprintln!("--check-baseline: cannot read BENCH_simperf.json: {e}");
+            std::process::exit(2);
+        });
+        parse_baseline(&text).unwrap_or_else(|e| {
+            eprintln!("--check-baseline: BENCH_simperf.json: {e}");
+            std::process::exit(2);
+        })
+    });
 
     println!("Simulator throughput (CoreMark kernel, capabilities + load filter)");
     println!(
@@ -311,11 +312,11 @@ fn main() {
         Err(e) => eprintln!("failed to write sim_throughput.csv: {e}"),
     }
 
-    if let Some(text) = baseline_text {
+    if let Some(baseline) = baseline {
         // Guard mode: compare, don't overwrite the committed reference.
         let mut failed = false;
         let mut check = |key: &str, value: f64, band: f64| {
-            let Some(base) = json_number(&text, key) else {
+            let Some(base) = baseline.get(key).and_then(Json::as_f64) else {
                 println!("baseline check {key:<20} no baseline key, skipped");
                 return;
             };
@@ -354,7 +355,10 @@ fn main() {
         // Restore-bytes is a deterministic byte count with a *ceiling*:
         // more bytes moved per seed means the O(dirty) restore (or the
         // CoW adoption path) got worse.
-        match json_number(&text, "campaign_restore_bytes_per_seed") {
+        match baseline
+            .get("campaign_restore_bytes_per_seed")
+            .and_then(Json::as_f64)
+        {
             None => println!(
                 "baseline check {:<20} no baseline key, skipped",
                 "campaign_restore_bytes_per_seed"
@@ -424,39 +428,39 @@ fn main() {
     let entries = [
         (
             "mips_ibex",
-            format!("{:.2}", by_key("ibex", DispatchMode::Cached)),
+            Json::fixed(by_key("ibex", DispatchMode::Cached), 2),
         ),
         (
             "mips_flute",
-            format!("{:.2}", by_key("flute", DispatchMode::Cached)),
+            Json::fixed(by_key("flute", DispatchMode::Cached), 2),
         ),
         (
             "mips_ibex_nocache",
-            format!("{:.2}", by_key("ibex", DispatchMode::Stepwise)),
+            Json::fixed(by_key("ibex", DispatchMode::Stepwise), 2),
         ),
         (
             "mips_flute_nocache",
-            format!("{:.2}", by_key("flute", DispatchMode::Stepwise)),
+            Json::fixed(by_key("flute", DispatchMode::Stepwise), 2),
         ),
         (
             "mips_ibex_chain",
-            format!("{:.2}", by_key("ibex", DispatchMode::Chained)),
+            Json::fixed(by_key("ibex", DispatchMode::Chained), 2),
         ),
         (
             "mips_flute_chain",
-            format!("{:.2}", by_key("flute", DispatchMode::Chained)),
+            Json::fixed(by_key("flute", DispatchMode::Chained), 2),
         ),
-        ("speedup_ibex", format!("{speedup_ibex:.2}")),
-        ("speedup_flute", format!("{speedup_flute:.2}")),
-        ("speedup_chain_ibex", format!("{speedup_chain_ibex:.2}")),
-        ("speedup_chain_flute", format!("{speedup_chain_flute:.2}")),
-        ("campaign_seeds_per_s", format!("{campaign_seeds_per_s:.2}")),
-        ("campaign_speedup", format!("{campaign_speedup:.2}")),
+        ("speedup_ibex", Json::fixed(speedup_ibex, 2)),
+        ("speedup_flute", Json::fixed(speedup_flute, 2)),
+        ("speedup_chain_ibex", Json::fixed(speedup_chain_ibex, 2)),
+        ("speedup_chain_flute", Json::fixed(speedup_chain_flute, 2)),
+        ("campaign_seeds_per_s", Json::fixed(campaign_seeds_per_s, 2)),
+        ("campaign_speedup", Json::fixed(campaign_speedup, 2)),
         (
             "campaign_restore_bytes_per_seed",
-            format!("{restore_bytes_per_seed:.1}"),
+            Json::fixed(restore_bytes_per_seed, 1),
         ),
-        ("wall_s_all_results", format!("{wall_all:.3}")),
+        ("wall_s_all_results", Json::fixed(wall_all, 3)),
     ];
     match upsert_baseline(std::path::Path::new("BENCH_simperf.json"), &entries) {
         Ok(line) => println!("wrote BENCH_simperf.json: {}", line.trim()),

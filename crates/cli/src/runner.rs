@@ -187,11 +187,11 @@ fn run_instructions(
     if opts.trace_out.is_some() || opts.metrics {
         // One tracer serves all three outputs; buffer instruction retires
         // only when the post-run instruction trace also needs them.
-        m.set_tracer(Tracer::with_sink(
-            Box::new(cheriot_core::trace::VecSink::new()),
-            opts.trace_depth > 0,
-            true,
-        ));
+        m.set_tracer(if opts.trace_depth > 0 {
+            Tracer::full()
+        } else {
+            Tracer::timeline()
+        });
     } else if opts.trace_depth > 0 {
         m.set_tracer(Tracer::instr_ring(opts.trace_depth));
     }
@@ -278,7 +278,7 @@ fn run_instructions(
             for (id, name) in m.bus.device_names() {
                 tracer.metrics.set_device_name(id, name);
             }
-            let _ = tracer.finish(m.cycles);
+            tracer.finish(m.cycles);
             if let Some(path) = &opts.trace_out {
                 match std::fs::write(path, tracer.chrome_json()) {
                     Ok(()) => {
@@ -520,7 +520,7 @@ mod tests {
         let out = run_source("li a0, 9\nhalt\n", &opts).unwrap();
         assert!(out.report.contains("last retired instructions:"));
         assert!(out.report.contains("halt"));
-        // Depth still bounds the printed window even on an unbounded sink.
+        // Depth still bounds the printed window even on an unbounded buffer.
         assert_eq!(
             out.report
                 .lines()

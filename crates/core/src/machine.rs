@@ -351,8 +351,7 @@ impl Snapshot {
 
 impl Clone for Machine {
     /// Clones the architectural state. The tracer (if any) stays with the
-    /// original: a trace is a log of one machine's history, and sinks may
-    /// hold non-clonable resources such as open files. The clone starts
+    /// original: a trace is a log of one machine's history. The clone starts
     /// with tracing disabled and a cold (empty) block cache — the cache is
     /// pure derived state, rebuilt on demand.
     fn clone(&self) -> Machine {
@@ -1356,6 +1355,10 @@ impl Machine {
                 self.cpu.write_int(rd, muldiv(op, a, b));
                 true
             }
+            // These memory arms deliberately copy `exec`'s: every way of
+            // sharing one copy measured 2-10% slower on coremark
+            // (EXPERIMENTS.md E14, ablation ledger).
+            //
             // Loads dispatch inline too (a quarter of the CoreMark
             // mix), mirroring their `exec` arms, but bail to the
             // general path for anything unusual: MMIO (the timer

@@ -26,10 +26,12 @@
 //! * a fresh bank shares a single zero page across all slots, so an
 //!   untouched machine is resident-cheap too.
 //!
-//! The `--no-cow` escape hatch ([`Sram::set_cow`]) disables structural
-//! sharing: pages are kept uniquely owned and captures/restores copy bytes,
-//! reproducing the pre-CoW cost model. CoW on/off is architecturally
-//! invisible — runs are byte-identical either way (property-tested).
+//! The `--no-cow` escape hatch ([`Sram::set_cow`]) is CoW with a forced
+//! break at fork: every transfer adopts page handles exactly as under CoW,
+//! and the receiving bank then unshares at once, so pages stay uniquely
+//! owned and captures/restores pay (and are charged) full page copies —
+//! the pre-CoW cost model. CoW on/off is architecturally invisible — runs
+//! are byte-identical either way (property-tested).
 //!
 //! Two simulator-only acceleration structures ride alongside the
 //! architectural state (neither is architecturally visible, and neither is
@@ -187,9 +189,10 @@ pub struct Sram {
     /// last cleared. Zero means unstamped (no lineage; restores fall back
     /// to full copies).
     content: u64,
-    /// Structural sharing enabled? When false (`--no-cow`), pages are
-    /// kept uniquely owned and captures/restores copy bytes — the pre-CoW
-    /// cost model, kept as an escape hatch and comparison baseline.
+    /// Structural sharing enabled? When false (`--no-cow`), every
+    /// transfer ends in a forced break ([`Sram::unshare`]), so pages stay
+    /// uniquely owned and captures/restores copy bytes — the pre-CoW cost
+    /// model, kept as an escape hatch and comparison baseline.
     cow: bool,
     /// Write-barrier unshare counters (host-side, never snapshotted).
     cow_stats: CowStats,
@@ -206,28 +209,25 @@ impl std::fmt::Debug for Sram {
 }
 
 impl Clone for Sram {
-    /// Clones the bank. Under CoW this is O(pages) handle clones — the
-    /// clone shares every page with the original and either side's next
-    /// write unshares just that page. With CoW disabled the pages are
-    /// deep-copied. The decoded side cache is derived state and starts
-    /// cold in the clone; CoW counters start at zero.
+    /// Clones the bank: O(pages) handle clones — the clone shares every
+    /// page with the original and either side's next write unshares just
+    /// that page. With CoW disabled the clone unshares at once. The
+    /// decoded side cache is derived state and starts cold in the clone;
+    /// CoW counters start at zero.
     fn clone(&self) -> Sram {
-        let pages = if self.cow {
-            self.pages.clone()
-        } else {
-            self.pages.iter().map(|p| Arc::new((**p).clone())).collect()
-        };
-        Sram {
+        let mut clone = Sram {
             base: self.base,
             len: self.len,
-            pages,
+            pages: self.pages.clone(),
             caps: Vec::new(),
             dirty: self.dirty.clone(),
             dirty_count: self.dirty_count,
             content: self.content,
             cow: self.cow,
             cow_stats: CowStats::default(),
-        }
+        };
+        clone.unshare();
+        clone
     }
 }
 
@@ -258,15 +258,20 @@ impl Sram {
     }
 
     /// Enables/disables structural sharing. Disabling materializes every
-    /// currently-shared page into a private copy (not counted as a CoW
-    /// break — this is a mode switch, not a write).
+    /// currently-shared page into a private copy.
     pub fn set_cow(&mut self, on: bool) {
         self.cow = on;
-        if !on {
+        self.unshare();
+    }
+
+    /// With CoW disabled, the forced break: gives the bank a private copy
+    /// of every page it shares, so transfers that adopted handles end
+    /// with uniquely-owned pages. Not counted as a CoW break (it is the
+    /// mode's rule, not a write). A no-op under CoW.
+    fn unshare(&mut self) {
+        if !self.cow {
             for p in &mut self.pages {
-                if Arc::strong_count(p) > 1 {
-                    *p = Arc::new((**p).clone());
-                }
+                Arc::make_mut(p);
             }
         }
     }
@@ -757,15 +762,12 @@ impl Sram {
         self.base == other.base && self.len == other.len
     }
 
-    /// Replaces page `p` with `src`'s content: a handle adoption
-    /// (refcount bump) under CoW, a deep copy otherwise. Returns the host
-    /// bytes moved. The caller owns side-cache and dirty bookkeeping.
-    fn adopt_page(&mut self, src: &Arc<Page>, p: usize) -> u64 {
+    /// Host bytes moved transferring one page: a handle under CoW, the
+    /// page content when the transfer ends in a forced break.
+    fn page_xfer_bytes(&self) -> u64 {
         if self.cow {
-            self.pages[p] = Arc::clone(src);
             PAGE_HANDLE_BYTES
         } else {
-            *Arc::make_mut(&mut self.pages[p]) = (**src).clone();
             PAGE_COPY_BYTES
         }
     }
@@ -775,10 +777,11 @@ impl Sram {
     ///
     /// When `dst` already holds this bank's last-stamped content (their
     /// content ids match), only pages dirtied since that stamp move —
-    /// O(dirty). Otherwise the whole bank moves. Under CoW "moves" means
-    /// handle adoption: the snapshot shares the machine's pages and the
-    /// machine's next write to any of them CoW-breaks. Both dirty bitmaps
-    /// are cleared; returns the pages/bytes actually transferred.
+    /// O(dirty). Otherwise the whole bank moves. "Moves" means handle
+    /// adoption: the snapshot shares the machine's pages and the machine's
+    /// next write to any of them CoW-breaks; with CoW disabled the
+    /// snapshot unshares at once. Both dirty bitmaps are cleared; returns
+    /// the pages/bytes actually transferred.
     pub(crate) fn capture_into(&mut self, dst: &mut Sram) -> XferCost {
         let any_dirty = self.dirty_count != 0;
         let mut cost = XferCost::default();
@@ -787,7 +790,7 @@ impl Sram {
                 let mut w = self.dirty[wi];
                 while w != 0 {
                     let p = (wi << 6) + w.trailing_zeros() as usize;
-                    cost.bytes += dst.adopt_page(&self.pages[p], p);
+                    dst.pages[p] = Arc::clone(&self.pages[p]);
                     w &= w - 1;
                     cost.pages += 1;
                 }
@@ -796,13 +799,7 @@ impl Sram {
             dst.base = self.base;
             dst.len = self.len;
             dst.cow = self.cow;
-            if self.cow {
-                dst.pages.clone_from(&self.pages);
-                cost.bytes = self.pages.len() as u64 * PAGE_HANDLE_BYTES;
-            } else {
-                dst.pages = self.pages.iter().map(|p| Arc::new((**p).clone())).collect();
-                cost.bytes = self.pages.len() as u64 * PAGE_COPY_BYTES;
-            }
+            dst.pages.clone_from(&self.pages);
             // Snapshot banks never carry the derived side cache; drop the
             // allocation, not just the entries.
             dst.caps = Vec::new();
@@ -810,6 +807,8 @@ impl Sram {
             dst.dirty.resize(self.dirty.len(), 0);
             cost.pages = self.num_pages();
         }
+        cost.bytes = u64::from(cost.pages) * dst.page_xfer_bytes();
+        dst.unshare();
         if self.content == 0 || any_dirty {
             self.content = fresh_content_id();
         }
@@ -824,9 +823,9 @@ impl Sram {
     /// When this bank's last stamp matches `src`'s content id, every page
     /// not marked dirty is *guaranteed* unchanged since that stamp, so
     /// only dirty pages move — O(dirty). Without a lineage match the
-    /// whole bank moves. Under CoW moving a page is a handle adoption
-    /// (the fork cost of a fleet instance is O(pages) pointer writes, not
-    /// O(bytes)); with CoW disabled it is a deep copy of data + tag
+    /// whole bank moves. Moving a page is a handle adoption (the fork
+    /// cost of a fleet instance is O(pages) pointer writes, not O(bytes));
+    /// with CoW disabled the bank then unshares, a deep copy of data + tag
     /// words. Clears the dirty bitmap, drops side-cache entries covering
     /// adopted pages, and adopts `src`'s content id; returns the
     /// pages/bytes actually transferred.
@@ -845,7 +844,7 @@ impl Sram {
                 let mut w = self.dirty[wi];
                 while w != 0 {
                     let p = (wi << 6) + w.trailing_zeros() as usize;
-                    cost.bytes += self.adopt_page(&src.pages[p], p);
+                    self.pages[p] = Arc::clone(&src.pages[p]);
                     if !self.caps.is_empty() {
                         let g0 = p * PAGE_GRANULES;
                         let g1 = ((p + 1) * PAGE_GRANULES).min(self.granules());
@@ -856,16 +855,12 @@ impl Sram {
                 }
             }
         } else {
-            if self.cow {
-                self.pages.clone_from(&src.pages);
-                cost.bytes = self.pages.len() as u64 * PAGE_HANDLE_BYTES;
-            } else {
-                self.pages = src.pages.iter().map(|p| Arc::new((**p).clone())).collect();
-                cost.bytes = self.pages.len() as u64 * PAGE_COPY_BYTES;
-            }
+            self.pages.clone_from(&src.pages);
             self.caps = Vec::new();
             cost.pages = self.num_pages();
         }
+        cost.bytes = u64::from(cost.pages) * self.page_xfer_bytes();
+        self.unshare();
         self.content = src.content;
         self.clear_dirty();
         cost

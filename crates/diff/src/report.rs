@@ -1,11 +1,11 @@
 //! Typed fuzz-campaign reporting: one [`FuzzReport`] renders both the
 //! human text summary and the machine-readable JSON (via the shared
-//! [`cheriot_fault::json`] writer, the same one the fault-injection
+//! [`cheriot_core::trace::json`] writer, the same one the fault-injection
 //! campaign reports use — no ad-hoc string formatting).
 
 use crate::golden::{Coverage, OPCODE_NAMES};
 use crate::lockstep::{Divergence, FirstDivergence, Mismatch};
-use cheriot_fault::json::Json;
+use cheriot_core::trace::json::Json;
 
 /// Aggregated outcome of a differential fuzz campaign.
 #[derive(Clone, Debug)]
@@ -158,7 +158,7 @@ fn coverage_json(c: &Coverage) -> Json {
             Json::Arr(
                 causes
                     .into_iter()
-                    .map(|v| Json::UInt(u64::from(v)))
+                    .map(|v| Json::from(u64::from(v)))
                     .collect(),
             ),
         )

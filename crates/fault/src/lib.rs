@@ -36,7 +36,6 @@
 pub mod campaign;
 pub mod inject;
 pub mod invariant;
-pub mod json;
 pub mod plan;
 pub mod rng;
 

@@ -2,10 +2,12 @@
 //! document declaring the core, SRAM size, and device placements, and
 //! build a [`Machine`] with exactly those devices on its bus.
 //!
-//! The build environment is offline, so both formats are hand-rolled
-//! subsets (the same policy as the in-tree `rand`/`proptest` compat
-//! crates): enough TOML for `[machine]` + repeated `[[device]]` tables
-//! of scalar keys, and enough JSON for the equivalent object shape.
+//! The build environment is offline, so the TOML reader is a hand-rolled
+//! subset (the same policy as the in-tree `rand`/`proptest` compat
+//! crates): enough for `[machine]` + repeated `[[device]]` tables of
+//! scalar keys. JSON manifests go through the workspace's JSON codec,
+//! [`cheriot_core::trace::json`], and must have the equivalent object
+//! shape.
 //!
 //! # TOML manifest
 //!
@@ -35,6 +37,7 @@ use crate::devices::{DmaEngine, LiteTimer, NetLoopback};
 use cheriot_core::bus::{DeviceBus, MmioDevice, Uart};
 use cheriot_core::machine::{layout, Machine, MachineConfig};
 use cheriot_core::pipeline::CoreModel;
+use cheriot_core::trace::json::{self, Json};
 use cheriot_core::CoreKind;
 use std::fmt;
 
@@ -76,7 +79,7 @@ impl fmt::Display for ManifestError {
 impl std::error::Error for ManifestError {}
 
 /// One declared device.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeviceSpec {
     /// Device kind: `uart`, `timer`, `dma`, or `net`.
     pub kind: String,
@@ -84,6 +87,19 @@ pub struct DeviceSpec {
     pub base: u32,
     /// Interrupt line, if the device is wired to one.
     pub irq: Option<u32>,
+}
+
+impl DeviceSpec {
+    /// Applies one key of a `[[device]]` table / `"devices"` entry.
+    fn set_key(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        match key {
+            "kind" => self.kind = scalar_str(v, "device.kind")?.to_string(),
+            "base" => self.base = scalar_u32(v, "device.base")?,
+            "irq" => self.irq = Some(scalar_u32(v, "device.irq")?),
+            other => return Err(format!("unknown device key `{other}`")),
+        }
+        Ok(())
+    }
 }
 
 /// A parsed machine manifest.
@@ -177,17 +193,14 @@ impl MachineSpec {
     // --- TOML ---------------------------------------------------------------
 
     fn parse_toml(text: &str) -> Result<MachineSpec, ManifestError> {
-        #[derive(PartialEq)]
         enum Section {
             Top,
             Machine,
             Device,
         }
         let mut spec = MachineSpec {
-            core: CoreKind::Ibex,
-            sram_size: None,
-            intc_base: None,
             devices: Vec::new(),
+            ..MachineSpec::default()
         };
         let mut section = Section::Top;
         for (i, raw) in text.lines().enumerate() {
@@ -206,11 +219,7 @@ impl MachineSpec {
                 match name.trim() {
                     "device" => {
                         section = Section::Device;
-                        spec.devices.push(DeviceSpec {
-                            kind: String::new(),
-                            base: 0,
-                            irq: None,
-                        });
+                        spec.devices.push(DeviceSpec::default());
                     }
                     other => return Err(ManifestError::at(n, format!("unknown table `{other}`"))),
                 }
@@ -228,53 +237,19 @@ impl MachineSpec {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| ManifestError::at(n, format!("expected `key = value`: `{line}`")))?;
-            let (key, value) = (key.trim(), value.trim());
-            match section {
-                Section::Top => {
-                    return Err(ManifestError::at(
-                        n,
-                        format!("key `{key}` outside a [machine] or [[device]] section"),
-                    ))
-                }
-                Section::Machine => match key {
-                    "core" => {
-                        spec.core = parse_core(&parse_toml_string(value, n)?)
-                            .map_err(|e| ManifestError::at(n, e))?;
-                    }
-                    "sram" => {
-                        spec.sram_size =
-                            Some(parse_int(value).map_err(|e| ManifestError::at(n, e))?)
-                    }
-                    "intc" => {
-                        spec.intc_base =
-                            Some(parse_int(value).map_err(|e| ManifestError::at(n, e))?)
-                    }
-                    other => {
-                        return Err(ManifestError::at(
-                            n,
-                            format!("unknown machine key `{other}`"),
-                        ))
-                    }
-                },
-                Section::Device => {
-                    let dev = spec.devices.last_mut().expect("section implies a device");
-                    match key {
-                        "kind" => dev.kind = parse_toml_string(value, n)?,
-                        "base" => {
-                            dev.base = parse_int(value).map_err(|e| ManifestError::at(n, e))?
-                        }
-                        "irq" => {
-                            dev.irq = Some(parse_int(value).map_err(|e| ManifestError::at(n, e))?)
-                        }
-                        other => {
-                            return Err(ManifestError::at(
-                                n,
-                                format!("unknown device key `{other}`"),
-                            ))
-                        }
-                    }
-                }
-            }
+            let (key, value) = (key.trim(), toml_scalar(value.trim()));
+            let set = match section {
+                Section::Top => Err(format!(
+                    "key `{key}` outside a [machine] or [[device]] section"
+                )),
+                Section::Machine => spec.set_machine_key(key, &value),
+                Section::Device => spec
+                    .devices
+                    .last_mut()
+                    .expect("section implies a device")
+                    .set_key(key, &value),
+            };
+            set.map_err(|e| ManifestError::at(n, e))?;
         }
         spec.validate()?;
         Ok(spec)
@@ -284,50 +259,25 @@ impl MachineSpec {
 
     fn parse_json(text: &str) -> Result<MachineSpec, ManifestError> {
         let value = json::parse(text).map_err(ManifestError::new)?;
-        let obj = value.as_object("manifest")?;
         let mut spec = MachineSpec {
-            core: CoreKind::Ibex,
-            sram_size: None,
-            intc_base: None,
             devices: Vec::new(),
+            ..MachineSpec::default()
         };
-        for (key, v) in obj {
+        for (key, v) in json_object(&value, "manifest")? {
             match key.as_str() {
                 "machine" => {
-                    for (mk, mv) in v.as_object("machine")? {
-                        match mk.as_str() {
-                            "core" => {
-                                spec.core = parse_core(mv.as_str("machine.core")?)
-                                    .map_err(ManifestError::new)?
-                            }
-                            "sram" => spec.sram_size = Some(mv.as_u32("machine.sram")?),
-                            "intc" => spec.intc_base = Some(mv.as_u32("machine.intc")?),
-                            other => {
-                                return Err(ManifestError::new(format!(
-                                    "unknown machine key `{other}`"
-                                )))
-                            }
-                        }
+                    for (mk, mv) in json_object(v, "machine")? {
+                        spec.set_machine_key(mk, mv).map_err(ManifestError::new)?;
                     }
                 }
                 "devices" => {
-                    for dv in v.as_array("devices")? {
-                        let mut dev = DeviceSpec {
-                            kind: String::new(),
-                            base: 0,
-                            irq: None,
-                        };
-                        for (dk, dvv) in dv.as_object("device")? {
-                            match dk.as_str() {
-                                "kind" => dev.kind = dvv.as_str("device.kind")?.to_string(),
-                                "base" => dev.base = dvv.as_u32("device.base")?,
-                                "irq" => dev.irq = Some(dvv.as_u32("device.irq")?),
-                                other => {
-                                    return Err(ManifestError::new(format!(
-                                        "unknown device key `{other}`"
-                                    )))
-                                }
-                            }
+                    let Json::Arr(devices) = v else {
+                        return Err(ManifestError::new("devices: expected an array"));
+                    };
+                    for dv in devices {
+                        let mut dev = DeviceSpec::default();
+                        for (dk, dvv) in json_object(dv, "device")? {
+                            dev.set_key(dk, dvv).map_err(ManifestError::new)?;
                         }
                         spec.devices.push(dev);
                     }
@@ -339,7 +289,34 @@ impl MachineSpec {
         Ok(spec)
     }
 
+    /// Applies one key of the `[machine]` table / `"machine"` object.
+    fn set_machine_key(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        match key {
+            "core" => self.core = parse_core(scalar_str(v, "machine.core")?)?,
+            "sram" => self.sram_size = Some(scalar_u32(v, "machine.sram")?),
+            "intc" => self.intc_base = Some(scalar_u32(v, "machine.intc")?),
+            other => return Err(format!("unknown machine key `{other}`")),
+        }
+        Ok(())
+    }
+
     fn validate(&self) -> Result<(), ManifestError> {
+        if let Some(sram) = self.sram_size {
+            // The heap is the upper half of the bank and must stay
+            // granule-aligned; the bank must end below the first MMIO
+            // window.
+            if sram % 16 != 0 {
+                return Err(ManifestError::new(format!(
+                    "sram size {sram:#x} is not a multiple of 16 bytes"
+                )));
+            }
+            if u64::from(layout::SRAM_BASE) + u64::from(sram) > u64::from(layout::REV_BITMAP_BASE) {
+                return Err(ManifestError::new(format!(
+                    "sram size {sram:#x} runs past the revocation bitmap at {:#x}",
+                    layout::REV_BITMAP_BASE
+                )));
+            }
+        }
         for d in &self.devices {
             if d.kind.is_empty() {
                 return Err(ManifestError::new("device missing `kind`"));
@@ -377,189 +354,35 @@ fn parse_int(s: &str) -> Result<u32, String> {
     parsed.map_err(|_| format!("expected an integer, got `{s}`"))
 }
 
-fn parse_toml_string(value: &str, line: usize) -> Result<String, ManifestError> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| ManifestError::at(line, format!("expected a quoted string, got `{value}`")))
+/// A TOML scalar in the JSON value model: a quoted string is a string,
+/// anything else is kept as number text for [`scalar_u32`].
+fn toml_scalar(value: &str) -> Json {
+    match value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+        Some(s) => Json::Str(s.to_string()),
+        None => Json::Num(value.to_string()),
+    }
 }
 
-/// A minimal JSON reader: objects, arrays, strings (no escapes beyond
-/// `\"` and `\\`), unsigned integers, booleans, null. Exactly the shape
-/// space manifests need.
-mod json {
-    use super::ManifestError;
-
-    /// A parsed JSON value.
-    pub enum Value {
-        /// Object, in source order.
-        Object(Vec<(String, Value)>),
-        /// Array.
-        Array(Vec<Value>),
-        /// String.
-        Str(String),
-        /// Unsigned integer.
-        Int(u64),
-        /// true/false/null (unused by manifests, accepted for
-        /// completeness).
-        Other,
+fn json_object<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], ManifestError> {
+    match v {
+        Json::Obj(fields) => Ok(fields),
+        _ => Err(ManifestError::new(format!("{what}: expected an object"))),
     }
+}
 
-    impl Value {
-        pub fn as_object(&self, what: &str) -> Result<&[(String, Value)], ManifestError> {
-            match self {
-                Value::Object(o) => Ok(o),
-                _ => Err(ManifestError::new(format!("{what}: expected an object"))),
-            }
-        }
-
-        pub fn as_array(&self, what: &str) -> Result<&[Value], ManifestError> {
-            match self {
-                Value::Array(a) => Ok(a),
-                _ => Err(ManifestError::new(format!("{what}: expected an array"))),
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, ManifestError> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(ManifestError::new(format!("{what}: expected a string"))),
-            }
-        }
-
-        /// An integer, from a number or a `"0x"`-string.
-        pub fn as_u32(&self, what: &str) -> Result<u32, ManifestError> {
-            match self {
-                Value::Int(n) => u32::try_from(*n)
-                    .map_err(|_| ManifestError::new(format!("{what}: {n} out of u32 range"))),
-                Value::Str(s) => {
-                    super::parse_int(s).map_err(|e| ManifestError::new(format!("{what}: {e}")))
-                }
-                _ => Err(ManifestError::new(format!("{what}: expected an integer"))),
-            }
-        }
+fn scalar_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
+    match v {
+        Json::Str(s) => Ok(s),
+        _ => Err(format!("{what}: expected a string")),
     }
+}
 
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
+/// An integer: a number, or a string holding one (JSON has no hex
+/// literals, and MMIO bases are unreadable in decimal).
+fn scalar_u32(v: &Json, what: &str) -> Result<u32, String> {
+    match v {
+        Json::Num(text) | Json::Str(text) => parse_int(text),
+        _ => Err("expected an integer".to_string()),
     }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .expect("ascii digits")
-                    .parse()
-                    .map(Value::Int)
-                    .map_err(|_| format!("bad number at byte {start}"))
-            }
-            _ => {
-                for lit in ["true", "false", "null"] {
-                    if b[*pos..].starts_with(lit.as_bytes()) {
-                        *pos += lit.len();
-                        return Ok(Value::Other);
-                    }
-                }
-                Err(format!("unexpected input at byte {pos}"))
-            }
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected a string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => match b.get(*pos) {
-                    Some(&e @ (b'"' | b'\\')) => {
-                        out.push(e as char);
-                        *pos += 1;
-                    }
-                    _ => return Err(format!("unsupported escape at byte {pos}")),
-                },
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
+    .map_err(|e| format!("{what}: {e}"))
 }

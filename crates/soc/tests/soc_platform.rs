@@ -101,6 +101,68 @@ fn manifest_errors_are_reported_with_context() {
     )
     .unwrap();
     assert!(spec.build().is_err());
+
+    // SRAM sizes the machine cannot lay out are manifest errors, not
+    // panics: the heap half must stay granule-aligned, and the bank must
+    // end below the revocation-bitmap window.
+    let err = MachineSpec::parse("[machine]\nsram = 0x80004\n").unwrap_err();
+    assert!(err.msg.contains("multiple of 16"), "{err}");
+    let err = MachineSpec::parse(r#"{"machine": {"sram": "0xffffff00"}}"#).unwrap_err();
+    assert!(err.msg.contains("revocation bitmap"), "{err}");
+    let spec = MachineSpec::parse(r#"{"machine": {"sram": "0x60000000"}}"#).unwrap();
+    assert_eq!(spec.sram_size, Some(0x6000_0000));
+
+    // Hostile JSON is refused with the byte offset, never a stack
+    // overflow; non-ASCII text survives into the error message intact.
+    let deep = format!("{{\"devices\": {}", "[".repeat(200_000));
+    let err = MachineSpec::parse(&deep).unwrap_err();
+    assert!(err.msg.contains("nesting too deep"), "{err}");
+    let spec =
+        MachineSpec::parse(r#"{"devices": [{"kind": "uärt", "base": "0x82000000"}]}"#).unwrap();
+    let err = spec.build().unwrap_err();
+    assert!(err.msg.contains("`uärt`"), "{err}");
+}
+
+/// A bundled manifest with up to four random byte replacements,
+/// insertions and deletions, cut at a random length half the time.
+#[derive(Clone, Copy, Debug)]
+struct MutatedManifest;
+
+impl Strategy for MutatedManifest {
+    type Value = String;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> String {
+        const BYTES: &[u8] = b"0123456789abcdefx_\"[]{}=:,#\n -.\\";
+        let manifests = bundled_manifests();
+        let (_, text) = &manifests[rng.below(manifests.len() as u64) as usize];
+        let mut bytes = text.clone().into_bytes();
+        for _ in 0..rng.below(5) {
+            let at = rng.below(bytes.len() as u64 + 1) as usize;
+            let b = BYTES[rng.below(BYTES.len() as u64) as usize];
+            match rng.below(3) {
+                0 if at < bytes.len() => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        if rng.below(2) == 0 {
+            bytes.truncate(rng.below(bytes.len() as u64 + 1) as usize);
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn mutated_manifests_never_panic(text in MutatedManifest) {
+        // Errors are expected; a panic fails the test.
+        let _ = MachineSpec::parse(&text).and_then(|s| s.build());
+    }
 }
 
 // ------------------------------------------------------------------- boot

@@ -21,7 +21,7 @@ pub struct TraceEvent {
 /// switcher's trusted-stack discipline guarantees).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// An instruction retired at `pc`. High-volume; sinks may elect not to
+    /// An instruction retired at `pc`. High-volume; tracers may elect not to
     /// buffer these (the metrics registry still counts them).
     InstrRetired {
         /// Program counter of the retired instruction.

@@ -8,6 +8,7 @@
 //! microseconds 1:1, so "1 ms" in the viewer is 1000 simulated cycles.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json;
 use crate::metrics::MetricsRegistry;
 
 /// Synthetic track for machine-level point events (traps, interrupts,
@@ -22,19 +23,6 @@ pub const TRACK_REVOKER: u32 = 0xfffd;
 /// registered display name (`uart: mmio_write`).
 pub const TRACK_DEVICE: u32 = 0xfffc;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn args_json(kind: &EventKind) -> String {
     let fields: Vec<String> = kind
         .fields()
@@ -47,7 +35,7 @@ fn args_json(kind: &EventKind) -> String {
 fn record(out: &mut Vec<String>, name: &str, ph: &str, ts: u64, tid: u32, args: String) {
     out.push(format!(
         "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{args}}}",
-        json_escape(name)
+        json::escape(name)
     ));
 }
 
@@ -78,7 +66,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], metrics: &MetricsRegistry) -> St
     for tid in &tids {
         out.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&metrics.thread_name(*tid))
+            json::escape(&metrics.thread_name(*tid))
         ));
     }
     for (tid, name) in [
@@ -132,8 +120,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], metrics: &MetricsRegistry) -> St
 }
 
 /// Render events as a flat CSV (`cycles,event,args`) with `;`-joined
-/// `key=value` args — the same row format [`crate::sink::FileSink`]
-/// streams.
+/// `key=value` args.
 pub fn csv(events: &[TraceEvent]) -> String {
     let mut out = String::from("cycles,event,args\n");
     for ev in events {

@@ -1,7 +1,7 @@
 //! Metrics registry: counters, cycle histograms, and per-compartment /
 //! per-thread cycle attribution derived from compartment-switch spans.
 //!
-//! The registry observes every emitted event (including ones the sink
+//! The registry observes every emitted event (including ones the tracer
 //! declines to buffer) and maintains:
 //!
 //! * a counter per event type plus derived counters (`bytes_allocated`,
